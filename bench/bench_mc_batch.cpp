@@ -9,7 +9,7 @@
 //   3. binary "ahfic-wave-v1" payload vs the equivalent JSON document.
 //
 // Every batched column is checked bit-identical (hex-float compare of
-// vbe and ft) against the scalar kSparse reference for the same seeds.
+// vbe and ft) against the scalar reference for the same seeds.
 // The "batched" column must match; "batched-full-factor" is NOT expected
 // to — re-pivoting every iteration picks different pivots than the
 // replayed first-iteration sequence the scalar path uses, so it differs
@@ -193,8 +193,7 @@ int main(int argc, char** argv) {
      << " A, seed " << seed << ")\n\n";
 
   const auto cards = drawCards(dies, seed, shape);
-  sp::AnalysisOptions opts;
-  opts.solver = sp::SolverKind::kSparse;  // the bit-identity reference
+  const sp::AnalysisOptions opts;
 
   // Best-of-reps wall time: the results are deterministic rep to rep, so
   // the minimum is the least-noisy throughput estimate on a shared host.

@@ -1,6 +1,7 @@
 // Engineering micro-benchmarks (google-benchmark): the solver and engine
-// kernels underlying the paper-reproduction benches, including the
-// dense-vs-sparse MNA ablation called out in DESIGN.md.
+// kernels underlying the paper-reproduction benches, plus the solver
+// report (`--solver-json`) that times the sparse MNA core against the
+// dense-LU reference.
 
 #include <benchmark/benchmark.h>
 
@@ -38,6 +39,8 @@
 #include "util/table.h"
 #include "util/units.h"
 
+#include "dense_oracle.h"
+
 namespace sp = ahfic::spice;
 namespace ah = ahfic::ahdl;
 namespace bg = ahfic::bjtgen;
@@ -46,11 +49,9 @@ namespace u = ahfic::util;
 
 namespace {
 
-void fillSystem(int n, sp::DenseMatrix<double>& a,
-                sp::SparseMatrix<double>& s, std::vector<double>& b) {
+void fillSystem(int n, sp::DenseMatrix<double>& a, std::vector<double>& b) {
   u::Rng rng(static_cast<std::uint64_t>(n));
   a = sp::DenseMatrix<double>(n, n);
-  s = sp::SparseMatrix<double>(n);
   b.assign(static_cast<size_t>(n), 0.0);
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
@@ -60,10 +61,7 @@ void fillSystem(int n, sp::DenseMatrix<double>& a,
         v = 10.0 + rng.uniform();
       else if (rng.uniform() < 5.0 / n)
         v = rng.uniform(-1, 1);
-      if (v != 0.0) {
-        a.at(i, j) = v;
-        s.add(i, j, v);
-      }
+      a.at(i, j) = v;
     }
     b[static_cast<size_t>(i)] = rng.uniform(-1, 1);
   }
@@ -72,9 +70,8 @@ void fillSystem(int n, sp::DenseMatrix<double>& a,
 void BM_DenseLuSolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   sp::DenseMatrix<double> a;
-  sp::SparseMatrix<double> s;
   std::vector<double> b;
-  fillSystem(n, a, s, b);
+  fillSystem(n, a, b);
   for (auto _ : state) {
     auto aCopy = a;
     std::vector<int> perm;
@@ -85,22 +82,6 @@ void BM_DenseLuSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DenseLuSolve)->Arg(16)->Arg(64)->Arg(128);
-
-void BM_SparseSolve(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  sp::DenseMatrix<double> a;
-  sp::SparseMatrix<double> s;
-  std::vector<double> b;
-  fillSystem(n, a, s, b);
-  for (auto _ : state) {
-    auto sCopy = s;
-    auto bCopy = b;
-    std::vector<double> x;
-    sCopy.solveInPlace(bCopy, x);
-    benchmark::DoNotOptimize(x);
-  }
-}
-BENCHMARK(BM_SparseSolve)->Arg(16)->Arg(64)->Arg(128);
 
 void BM_SpiceOperatingPoint(benchmark::State& state) {
   // The Fig. 11 ring oscillator's DC solve (~100 unknowns, 20 BJTs).
@@ -172,11 +153,11 @@ void BM_Fft4096(benchmark::State& state) {
 BENCHMARK(BM_Fft4096);
 
 // ---------------------------------------------------------------------------
-// Solver ablation (`--solver-json FILE`): dense LU vs the legacy row-list
-// SparseMatrix::solveInPlace vs the structure-caching SparseLU, at both the
-// kernel level (MNA-like random systems) and the circuit level (diode-RC
-// ladders through the full Analyzer). Emits the "ahfic-bench-solver-v1"
-// document consumed by the CI solver-ablation smoke job.
+// Solver report (`--solver-json FILE`): the structure-caching SparseLU
+// against the dense-LU reference, at the kernel level (MNA-like random
+// systems) and the circuit level (diode-RC ladders through the full
+// Analyzer). Emits the "ahfic-bench-solver-v1" document consumed by the
+// CI solver-ablation smoke job and the perf-regress gates.
 
 double nowNs() {
   return static_cast<double>(
@@ -199,16 +180,15 @@ double timeOp(F&& f, double targetNs = 2e7, int maxReps = 400) {
   return (nowNs() - t0) / reps;
 }
 
-/// Solver-only ablation on one MNA-like system of size n: per-iteration
-/// cost of each backend as the engine pays it (the dense and legacy paths
-/// re-copy their matrix every Newton iteration because elimination is
-/// destructive; the SparseLU path refactors in place).
+/// Solver-only comparison on one MNA-like system of size n: per-iteration
+/// cost of SparseLU as the engine pays it (refactor in place + solve)
+/// against a dense LU of the same system (which must re-copy its matrix
+/// every iteration because elimination is destructive).
 struct SolverKernelResult {
   int n = 0;
   size_t nnz = 0;
   size_t nnzLU = 0;        ///< L+U nonzeros after ordering (fill-in)
   double denseNs = 0.0;    ///< copy + luFactor + luSolve
-  double legacyNs = 0.0;   ///< copy + solveInPlace
   double sparseSetupNs = 0.0;    ///< analyze + first (pivoting) factor
   double sparseRefactorNs = 0.0; ///< pattern-reusing numeric factor
   double sparseSolveNs = 0.0;    ///< one substitution pass
@@ -219,9 +199,8 @@ SolverKernelResult solverKernel(int n) {
   SolverKernelResult r;
   r.n = n;
   sp::DenseMatrix<double> a;
-  sp::SparseMatrix<double> s;
   std::vector<double> b;
-  fillSystem(n, a, s, b);
+  fillSystem(n, a, b);
 
   std::vector<std::pair<int, int>> entries;
   for (int i = 0; i < n; ++i)
@@ -245,13 +224,6 @@ SolverKernelResult solverKernel(int n) {
     aCopy.luSolve(perm, b, x);
     benchmark::DoNotOptimize(x);
   });
-  r.legacyNs = timeOp([&] {
-    auto sCopy = s;
-    auto bCopy = b;
-    std::vector<double> x;
-    sCopy.solveInPlace(bCopy, x);
-    benchmark::DoNotOptimize(x);
-  });
 
   sp::SparseLU<double> lu;
   r.sparseSetupNs = timeOp([&] {
@@ -268,9 +240,9 @@ SolverKernelResult solverKernel(int n) {
   return r;
 }
 
-/// Circuit-level ablation: a diode-RC ladder run through the full
-/// Analyzer per backend. Wall time covers assemble + factor + solve +
-/// device evaluation — what a user actually waits for.
+/// Circuit level: a diode-RC ladder run through the full Analyzer. Wall
+/// time covers assemble + factor + solve + device evaluation — what a
+/// user actually waits for.
 struct CircuitBackendResult {
   double wallNs = 0.0;
   long newtonIterations = 0;
@@ -305,23 +277,18 @@ void buildDiodeLadder(sp::Circuit& ckt, int stages) {
   }
 }
 
-CircuitBackendResult runCircuitBackend(int stages, sp::SolverKind kind,
-                                       const std::vector<double>& refOp,
-                                       std::vector<double>* opOut,
-                                       int* unknowns) {
+CircuitBackendResult runCircuit(int stages, int* unknowns) {
   sp::Circuit ckt;
   buildDiodeLadder(ckt, stages);
-  sp::AnalysisOptions opts;
-  opts.solver = kind;
-  sp::Analyzer an(ckt, opts);
-  if (unknowns != nullptr) *unknowns = an.unknownCount();
+  sp::Analyzer an(ckt);
+  *unknowns = an.unknownCount();
 
   CircuitBackendResult r;
+  // Accuracy against the dense-LU reference operating point.
   const auto x = an.op();
-  if (opOut != nullptr) *opOut = x;
-  for (size_t i = 0; i < refOp.size() && i < x.size(); ++i)
-    r.maxAbsDiffVsDense =
-        std::max(r.maxAbsDiffVsDense, std::abs(x[i] - refOp[i]));
+  const auto xd = dense_oracle::op(ckt, an.unknownCount());
+  for (size_t i = 0; i < x.size(); ++i)
+    r.maxAbsDiffVsDense = std::max(r.maxAbsDiffVsDense, std::abs(x[i] - xd[i]));
 
   const double t0 = nowNs();
   const auto tr = an.transient(5e-7, 1e-8);
@@ -343,9 +310,7 @@ CircuitBackendResult runCircuitBackend(int stages, sp::SolverKind kind,
 double measureDeviceEvalNs(int stages) {
   sp::Circuit ckt;
   buildDiodeLadder(ckt, stages);
-  sp::AnalysisOptions opts;
-  opts.solver = sp::SolverKind::kSparse;
-  sp::Analyzer an(ckt, opts);
+  sp::Analyzer an(ckt);
   const std::vector<double> xOp = an.op();
   const sp::Solution x(&xOp);
 
@@ -367,17 +332,15 @@ double measureDeviceEvalNs(int stages) {
   });
 }
 
-u::JsonValue backendJson(const CircuitBackendResult& r, bool sparse) {
+u::JsonValue backendJson(const CircuitBackendResult& r) {
   u::JsonValue v = u::JsonValue::object();
   v.set("wallNs", r.wallNs);
   v.set("newtonIterations", static_cast<double>(r.newtonIterations));
   v.set("nsPerIteration", r.nsPerIteration());
   v.set("maxAbsDiffVsDense", r.maxAbsDiffVsDense);
-  if (sparse) {
-    v.set("fullFactors", static_cast<double>(r.fullFactors));
-    v.set("refactors", static_cast<double>(r.refactors));
-    v.set("patternInserts", static_cast<double>(r.patternInserts));
-  }
+  v.set("fullFactors", static_cast<double>(r.fullFactors));
+  v.set("refactors", static_cast<double>(r.refactors));
+  v.set("patternInserts", static_cast<double>(r.patternInserts));
   return v;
 }
 
@@ -385,34 +348,29 @@ int runSolverAblation(const std::string& outPath) {
   u::JsonValue doc = u::JsonValue::object();
   doc.set("schema", "ahfic-bench-solver-v1");
 
-  std::cout << "== Solver ablation: dense vs legacy sparse vs SparseLU ==\n"
-            << "(per-iteration cost as the Newton loop pays it; the dense\n"
-            << " and legacy backends re-copy their destructive matrix each\n"
-            << " iteration, SparseLU refactors its cached pattern)\n\n";
+  std::cout << "== Solver report: SparseLU vs the dense-LU reference ==\n"
+            << "(per-iteration cost as the Newton loop pays it; dense LU\n"
+            << " re-copies its destructive matrix each iteration, SparseLU\n"
+            << " refactors its cached pattern)\n\n";
 
-  u::Table kt({"n", "nnz", "nnz(L+U)", "dense [ns]", "legacy [ns]",
-               "refactor+solve [ns]", "vs legacy", "vs dense"});
+  u::Table kt({"n", "nnz", "nnz(L+U)", "dense [ns]", "refactor+solve [ns]",
+               "vs dense"});
   u::JsonValue kernels = u::JsonValue::array();
   for (int n : {16, 64, 256, 1024}) {
     const auto r = solverKernel(n);
-    const double vsLegacy = r.sparseNs() > 0.0 ? r.legacyNs / r.sparseNs()
-                                               : 0.0;
     const double vsDense = r.denseNs > 0.0 ? r.sparseNs() / r.denseNs : 0.0;
     kt.addRow({std::to_string(r.n), std::to_string(r.nnz),
                std::to_string(r.nnzLU), u::fixed(r.denseNs, 0),
-               u::fixed(r.legacyNs, 0), u::fixed(r.sparseNs(), 0),
-               u::fixed(vsLegacy, 1) + "x", u::fixed(vsDense, 2)});
+               u::fixed(r.sparseNs(), 0), u::fixed(vsDense, 2)});
     u::JsonValue k = u::JsonValue::object();
     k.set("n", static_cast<double>(r.n));
     k.set("nnz", static_cast<double>(r.nnz));
     k.set("nnzLU", static_cast<double>(r.nnzLU));
     k.set("denseNs", r.denseNs);
-    k.set("legacyNs", r.legacyNs);
     k.set("sparseSetupNs", r.sparseSetupNs);
     k.set("sparseRefactorNs", r.sparseRefactorNs);
     k.set("sparseSolveNs", r.sparseSolveNs);
     k.set("sparseNs", r.sparseNs());
-    k.set("speedupVsLegacy", vsLegacy);
     k.set("ratioVsDense", vsDense);
     kernels.push(std::move(k));
   }
@@ -420,59 +378,38 @@ int runSolverAblation(const std::string& outPath) {
   kt.print(std::cout);
   std::cout << "\n";
 
-  u::Table ct({"circuit", "unknowns", "backend", "wall [ms]", "iters",
-               "ns/iter", "dev-eval [ns/iter]", "max |dV| vs dense"});
+  u::Table ct({"circuit", "unknowns", "wall [ms]", "iters", "ns/iter",
+               "dev-eval [ns/iter]", "max |dV| vs dense"});
   u::JsonValue circuits = u::JsonValue::array();
   for (int stages : {10, 60, 250}) {
-    std::vector<double> refOp;
     int unknowns = 0;
-    const auto dense = runCircuitBackend(stages, sp::SolverKind::kDense,
-                                         {}, &refOp, &unknowns);
-    const auto legacy = runCircuitBackend(
-        stages, sp::SolverKind::kSparseLegacy, refOp, nullptr, nullptr);
-    const auto sparse = runCircuitBackend(stages, sp::SolverKind::kSparse,
-                                          refOp, nullptr, nullptr);
+    const auto sparse = runCircuit(stages, &unknowns);
     // Solver-only comparison at this circuit's exact unknown count, so
-    // the kernel-level speedup is attributable to the bench circuit.
+    // the kernel-level ratio is attributable to the bench circuit.
     const auto solverOnly = solverKernel(unknowns);
     const double deviceEvalNs = measureDeviceEvalNs(stages);
 
     const std::string name = "diode_rc_ladder_" + std::to_string(stages);
-    struct Row {
-      const char* backend;
-      const CircuitBackendResult* r;
-    };
-    for (const Row& row : {Row{"dense", &dense}, Row{"legacy", &legacy},
-                           Row{"sparse", &sparse}})
-      ct.addRow({name, std::to_string(unknowns), std::string(row.backend),
-                 u::fixed(row.r->wallNs * 1e-6, 2),
-                 std::to_string(row.r->newtonIterations),
-                 u::fixed(row.r->nsPerIteration(), 0),
-                 u::fixed(deviceEvalNs, 0),
-                 u::formatEngineering(row.r->maxAbsDiffVsDense, 2)});
+    ct.addRow({name, std::to_string(unknowns),
+               u::fixed(sparse.wallNs * 1e-6, 2),
+               std::to_string(sparse.newtonIterations),
+               u::fixed(sparse.nsPerIteration(), 0), u::fixed(deviceEvalNs, 0),
+               u::formatEngineering(sparse.maxAbsDiffVsDense, 2)});
 
     u::JsonValue c = u::JsonValue::object();
     c.set("name", name);
     c.set("stages", static_cast<double>(stages));
     c.set("unknowns", static_cast<double>(unknowns));
-    // Backend-independent: the same device list is evaluated whichever
-    // solver consumes the stamps.
     c.set("deviceEvalNs", deviceEvalNs);
+    // Keyed by backend so the gate paths (backends.sparse.*) stay stable.
     u::JsonValue backends = u::JsonValue::object();
-    backends.set("dense", backendJson(dense, false));
-    backends.set("legacy", backendJson(legacy, false));
-    backends.set("sparse", backendJson(sparse, true));
+    backends.set("sparse", backendJson(sparse));
     c.set("backends", std::move(backends));
     u::JsonValue so = u::JsonValue::object();
     so.set("denseNs", solverOnly.denseNs);
-    so.set("legacyNs", solverOnly.legacyNs);
     so.set("sparseNs", solverOnly.sparseNs());
     so.set("nnz", static_cast<double>(solverOnly.nnz));
     so.set("nnzLU", static_cast<double>(solverOnly.nnzLU));
-    so.set("speedupVsLegacy",
-           solverOnly.sparseNs() > 0.0
-               ? solverOnly.legacyNs / solverOnly.sparseNs()
-               : 0.0);
     so.set("ratioVsDense", solverOnly.denseNs > 0.0
                                ? solverOnly.sparseNs() / solverOnly.denseNs
                                : 0.0);

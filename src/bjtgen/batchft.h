@@ -11,10 +11,10 @@
 // bisection runs in masked lockstep: one batched operating point per
 // bisection step solves every still-active die at its own trial Vbe.
 //
-// Bit-identity contract: with `opts.solver = SolverKind::kSparse`, entry
-// r of measureAnalyticAt(ic) is bit-identical (ft, vbe hex-float equal)
-// to `FtExtractor(cards[r], vce, opts).measureAnalyticAt(ic)`, because
-// ReplicaBatch::op() reproduces a fresh sparse Analyzer::op() bit-for-bit
+// Bit-identity contract: for the same `opts`, entry r of
+// measureAnalyticAt(ic) is bit-identical (ft, vbe hex-float equal) to
+// `FtExtractor(cards[r], vce, opts).measureAnalyticAt(ic)`, because
+// ReplicaBatch::op() reproduces a fresh Analyzer::op() bit-for-bit
 // and the per-die bisection trajectory (lo/hi/mid sequence, convergence
 // test) is the scalar code's. A die whose bias bracket rejects the target
 // reports ok = false with the scalar error text instead of throwing, so

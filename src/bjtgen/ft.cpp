@@ -1,6 +1,8 @@
 #include "bjtgen/ft.h"
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -30,32 +32,48 @@ void FtExtractor::absorb(const spice::AnalyzerStats& s) const {
   stats_.sourceSteps += s.sourceSteps;
 }
 
-namespace {
+/// The voltage-driven common-emitter bias cell. Bias points differ only
+/// in VB's value, so one circuit and one Analyzer serve them all: the
+/// pattern, symbolic analysis and stamp memos are built once, and each
+/// op() restarts exactly as on a fresh Analyzer.
+class FtExtractor::BiasCell {
+ public:
+  BiasCell(const sp::BjtModel& model, double vce,
+           const sp::AnalysisOptions& opts) {
+    const int c = ckt_.node("c"), b = ckt_.node("b");
+    vb_ = &ckt_.add<sp::VSource>("VB", b, 0, 0.0);
+    vc_ = &ckt_.add<sp::VSource>("VC", c, 0, vce);
+    q_ = &ckt_.add<sp::Bjt>("Q1", ckt_, c, b, 0, model);
+    an_ = std::make_unique<sp::Analyzer>(ckt_, opts);
+  }
 
-/// Collector current of a voltage-driven common-emitter bias cell.
-double icAtVbe(const spice::BjtModel& model, double vbe, double vce,
-               const sp::AnalysisOptions& opts,
-               sp::AnalyzerStats* statsOut) {
-  sp::Circuit ckt;
-  const int c = ckt.node("c"), b = ckt.node("b");
-  ckt.add<sp::VSource>("VB", b, 0, vbe);
-  auto& vc = ckt.add<sp::VSource>("VC", c, 0, vce);
-  ckt.add<sp::Bjt>("Q1", ckt, c, b, 0, model);
-  sp::Analyzer an(ckt, opts);
-  const auto x = an.op();
-  if (statsOut != nullptr) *statsOut = an.stats();
-  sp::Solution s(&x);
-  return -s.at(vc.branchId());
-}
+  /// Operating point at base voltage `vbe`.
+  std::vector<double> op(double vbe) {
+    vb_->setWaveform(std::make_unique<sp::DcWaveform>(vbe));
+    return an_->op();
+  }
+  const sp::AnalyzerStats& stats() const { return an_->stats(); }
+  double collectorCurrent(const std::vector<double>& x) const {
+    return -x[static_cast<size_t>(vc_->branchId() - 1)];
+  }
+  double baseCurrent(const std::vector<double>& x) const {
+    return -x[static_cast<size_t>(vb_->branchId() - 1)];
+  }
+  const sp::Bjt& transistor() const { return *q_; }
 
-}  // namespace
+ private:
+  sp::Circuit ckt_;
+  sp::VSource* vb_ = nullptr;
+  sp::VSource* vc_ = nullptr;
+  sp::Bjt* q_ = nullptr;
+  std::unique_ptr<sp::Analyzer> an_;
+};
 
-double FtExtractor::solveBias(double icTarget) const {
+double FtExtractor::solveBias(BiasCell& cell, double icTarget) const {
   if (icTarget <= 0.0) throw Error("FtExtractor: ic must be > 0");
-  sp::AnalyzerStats st;
   auto icAt = [&](double vbe) {
-    const double ic = icAtVbe(model_, vbe, vce_, opts_, &st);
-    absorb(st);
+    const double ic = cell.collectorCurrent(cell.op(vbe));
+    absorb(cell.stats());
     return ic;
   };
   double lo = 0.3, hi = 1.15;
@@ -83,26 +101,13 @@ FtPoint FtExtractor::measureAt(double ic) const {
 
   FtPoint pt;
   pt.ic = ic;
-  pt.vbe = solveBias(ic);
+  BiasCell cell(model_, vce_, opts_);
+  pt.vbe = solveBias(cell, ic);
 
-  // Current-driven base reproducing the same operating point: ib from a
-  // preliminary OP of the voltage-driven cell.
-  sp::Circuit vckt;
-  {
-    const int c = vckt.node("c"), b = vckt.node("b");
-    vckt.add<sp::VSource>("VB", b, 0, pt.vbe);
-    vckt.add<sp::VSource>("VC", c, 0, vce_);
-    vckt.add<sp::Bjt>("Q1", vckt, c, b, 0, model_);
-  }
-  double ib = 0.0;
-  {
-    sp::Analyzer an(vckt, opts_);
-    const auto x = an.op();
-    absorb(an.stats());
-    sp::Solution s(&x);
-    auto* vb = dynamic_cast<sp::VSource*>(vckt.findDevice("VB"));
-    ib = -s.at(vb->branchId());
-  }
+  // Current-driven base reproducing the same operating point: ib from an
+  // OP of the voltage-driven cell at the solved bias.
+  const double ib = cell.baseCurrent(cell.op(pt.vbe));
+  absorb(cell.stats());
   if (ib <= 0.0) throw Error("FtExtractor: non-positive base current");
 
   sp::Circuit ckt;
@@ -166,17 +171,11 @@ FtPoint FtExtractor::measureAnalyticAt(double ic) const {
 
   FtPoint pt;
   pt.ic = ic;
-  pt.vbe = solveBias(ic);
-  sp::Circuit ckt;
-  const int c = ckt.node("c"), b = ckt.node("b");
-  ckt.add<sp::VSource>("VB", b, 0, pt.vbe);
-  ckt.add<sp::VSource>("VC", c, 0, vce_);
-  auto& q = ckt.add<sp::Bjt>("Q1", ckt, c, b, 0, model_);
-  sp::Analyzer an(ckt, opts_);
-  const auto x = an.op();
-  absorb(an.stats());
-  sp::Solution s(&x);
-  pt.ft = q.opInfo(s).ft();
+  BiasCell cell(model_, vce_, opts_);
+  pt.vbe = solveBias(cell, ic);
+  const auto x = cell.op(pt.vbe);
+  absorb(cell.stats());
+  pt.ft = cell.transistor().opInfo(sp::Solution(&x)).ft();
   return pt;
 }
 
@@ -189,7 +188,8 @@ std::vector<FtPoint> FtExtractor::sweep(
 }
 
 double FtExtractor::maxBiasCurrent() const {
-  return icAtVbe(model_, 1.15, vce_, opts_, nullptr);
+  BiasCell cell(model_, vce_, opts_);
+  return cell.collectorCurrent(cell.op(1.15));
 }
 
 FtPeak FtExtractor::findPeak(double icMin, double icMax, int points) const {

@@ -64,8 +64,9 @@ class FtExtractor {
   void resetSolverStats() { stats_ = {}; }
 
  private:
-  /// Finds vbe with ic(vbe) = target; returns vbe.
-  double solveBias(double icTarget) const;
+  class BiasCell;  // voltage-driven bias circuit, reused across solves
+  /// Finds vbe with ic(vbe) = target on `cell`; returns vbe.
+  double solveBias(BiasCell& cell, double icTarget) const;
   /// Adds one internal Analyzer's counters to the accumulator.
   void absorb(const spice::AnalyzerStats& s) const;
 

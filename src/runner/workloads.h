@@ -73,8 +73,8 @@ std::vector<Job> monteCarloFtJobs(const bjtgen::Technology& nominal,
 /// is solved through one spice::ReplicaBatch — one pattern priming and
 /// symbolic analysis per block instead of per bisection evaluation.
 ///
-/// Per-die results are bit-identical to the scalar pipeline run with
-/// `AnalysisOptions::solver = kSparse`: die d's card is drawn from
+/// Per-die results are bit-identical to the scalar pipeline
+/// (monteCarloFtJobs): die d's card is drawn from
 /// deriveJobSeed(baseSeed, d), exactly the seed the scalar job at index
 /// d receives. `baseSeed` must therefore match RunnerOptions::baseSeed
 /// of the runner executing these jobs; it is baked into the job key

@@ -93,16 +93,10 @@ Analyzer::Analyzer(Circuit& ckt, AnalysisOptions opts)
     // Any diag report born from this analyzer names its request.
     if (!opts_.traceId.empty()) fx_->setContext("trace_id", opts_.traceId);
   }
-  solver_ = opts_.solver;
-  if (solver_ == SolverKind::kAuto && opts_.useSparse)
-    solver_ = SolverKind::kSparseLegacy;
-  if (solver_ == SolverKind::kAuto)
-    solver_ = unknownCount_ > kDenseBackendMaxUnknowns ? SolverKind::kSparse
-                                                       : SolverKind::kDense;
   // Priming mutates junction-limiting history (loads run at zero bias),
   // so it happens here — before any solve seeds that history via
   // beginSolve — rather than lazily inside the first Newton iteration.
-  if (solver_ == SolverKind::kSparse) primeSparsePattern();
+  primeSparsePattern();
 }
 
 void Analyzer::buildLayout() {
@@ -153,7 +147,6 @@ void Analyzer::primeSparsePattern() {
   ctx.c0 = 1.0;
   for (const auto& dev : ckt_.devices()) dev->load(ps, sx, ctx);
   pat_.build(unknownCount_, std::move(entries));
-  patternPrimed_ = true;
   staticValid_ = false;
 }
 
@@ -240,34 +233,6 @@ bool Analyzer::sparseIterate(const Solution& x, const LoadContext& ctx,
     hSolve.observe(tEnd - tSolve);
     hDevice.observe(deviceNs);
   }
-  return true;
-}
-
-void Analyzer::assemble(Stamper& s, const Solution& x,
-                        const LoadContext& ctx) {
-  // Runs once per Newton iteration: keep the disabled path at a single
-  // relaxed load, without span-object setup.
-  if (!obs::tracingEnabled()) {
-    for (const auto& dev : ckt_.devices()) dev->load(s, x, ctx);
-    return;
-  }
-  obs::ScopedSpan span("spice.assemble", "spice");
-  for (const auto& dev : ckt_.devices()) dev->load(s, x, ctx);
-}
-
-bool Analyzer::solveLinear(std::vector<double>& x) {
-  ++stats_.matrixSolves;
-  if (solver_ == SolverKind::kSparseLegacy) {
-    std::vector<double> b = rhs_;
-    return as_.solveInPlace(b, x);  // no per-column attribution available
-  }
-  std::vector<int> perm;
-  int singularCol = -1;
-  if (!a_.luFactor(perm, &singularCol)) {
-    lastSingularUnknown_ = singularCol >= 0 ? singularCol + 1 : 0;
-    return false;
-  }
-  a_.luSolve(perm, rhs_, x);
   return true;
 }
 
@@ -396,38 +361,7 @@ Analyzer::NewtonOutcome Analyzer::newtonInner(std::vector<double>& x,
       fx_->limitScratch()->clear();
       ctx.limitLog = fx_->limitScratch();
     }
-    Solution sx(&x);
-    bool solved;
-    if (solver_ == SolverKind::kSparse) {
-      solved = sparseIterate(sx, ctx, xNew);
-    } else {
-      if (solver_ == SolverKind::kSparseLegacy) {
-        if (as_.size() != n) as_ = SparseMatrix<double>(n);
-        as_.setZero();
-      } else {
-        if (a_.rows() != n) a_ = DenseMatrix<double>(n, n);
-        a_.setZero();
-      }
-      rhs_.assign(static_cast<size_t>(n), 0.0);
-      // Device-eval attribution on the dense/legacy backends: assemble
-      // here *is* the device loads (the sparse backend times its loads
-      // inside sparseIterate, excluding the memcpy of the static part).
-      const bool timed = obs::metricsEnabled();
-      const double tDevice = timed ? nowNs() : 0.0;
-      if (solver_ == SolverKind::kSparseLegacy) {
-        SparseStamper st(as_, rhs_);
-        assemble(st, sx, ctx);
-      } else {
-        DenseStamper st(a_, rhs_);
-        assemble(st, sx, ctx);
-      }
-      if (timed) {
-        static const obs::Histogram hDevice =
-            obs::histogram("spice.newton.device_eval_ns");
-        hDevice.observe(nowNs() - tDevice);
-      }
-      solved = solveLinear(xNew);
-    }
+    const bool solved = sparseIterate(Solution(&x), ctx, xNew);
     ctx.limited = nullptr;
     ctx.limitLog = nullptr;
 
@@ -573,6 +507,9 @@ std::vector<double> Analyzer::op() {
   span.annotate("request_id", opts_.traceId);
   resetStats();
   analysisLabel_ = "op";
+  // Open with a pivoting factorization, as a fresh Analyzer does, so a
+  // reused Analyzer's op() reproduces a fresh one bit for bit.
+  lu_.resetNumeric();
   LoadContext ctx;
   ctx.mode = AnalysisMode::kDcOp;
   ctx.c0 = 0.0;
@@ -582,14 +519,14 @@ std::vector<double> Analyzer::op() {
 
   std::vector<double> x = opWithContext(ctx);
 
-  // One extra assemble so the recorded charge states match the converged
-  // solution (transient starts from these). Only the integrate() side
-  // effects matter, so the stamps themselves are discarded — no matrix
-  // allocation regardless of backend.
+  // One extra load pass so the recorded charge states match the
+  // converged solution (transient starts from these). Only the
+  // integrate() side effects matter, so the stamps themselves are
+  // discarded.
   {
     StateOnlyStamper st;
-    Solution sx(&x);
-    assemble(st, sx, ctx);
+    const Solution sx(&x);
+    for (const auto& dev : ckt_.devices()) dev->load(st, sx, ctx);
   }
   statePrev_ = state_;
   std::fill(dstatePrev_.begin(), dstatePrev_.end(), 0.0);
@@ -714,40 +651,15 @@ AcResult Analyzer::acLinear(const std::vector<double>& frequencies,
   if (freshWindow) resetStats();
   analysisLabel_ = "ac";
   AcResult result;
-  const int n = unknownCount_;
-  Solution sop(&opSolution);
-  if (solver_ == SolverKind::kSparse) {
-    // Pattern and ordering are computed once; every frequency point is a
-    // refactorization + solve against the cached structure.
-    for (double f : frequencies) {
-      ++stats_.matrixSolves;
-      const double omega = 2.0 * 3.14159265358979323846 * f;
-      acSparseFactor(sop, omega, "ac");
-      std::vector<std::complex<double>> x;
-      luAc_.solve(rhsAc_, x);
-      result.frequency.push_back(f);
-      result.values.push_back(std::move(x));
-    }
-    publishStats("ac");
-    return result;
-  }
-  // Dense path: matrix and RHS are allocated once and reused across the
-  // sweep (allocation per point used to dominate small sweeps).
-  DenseMatrix<std::complex<double>> a(n, n);
-  std::vector<std::complex<double>> rhs;
+  const Solution sop(&opSolution);
+  // Pattern and ordering are computed once; every frequency point is a
+  // refactorization + solve against the cached structure.
   for (double f : frequencies) {
     ++stats_.matrixSolves;
     const double omega = 2.0 * 3.14159265358979323846 * f;
-    a.setZero();
-    rhs.assign(static_cast<size_t>(n), {0.0, 0.0});
-    DenseAcStamper st(a, rhs);
-    for (const auto& dev : ckt_.devices()) dev->loadAc(st, sop, omega);
-
-    std::vector<int> perm;
-    if (!a.luFactor(perm))
-      throw Error("ac: singular system at f = " + std::to_string(f));
+    acSparseFactor(sop, omega, "ac");
     std::vector<std::complex<double>> x;
-    a.luSolve(perm, rhs, x);
+    luAc_.solve(rhsAc_, x);
     result.frequency.push_back(f);
     result.values.push_back(std::move(x));
   }
@@ -792,28 +704,15 @@ NoiseResult Analyzer::noise(const std::vector<double>& frequencies,
   std::vector<double> perSourceVar(sources.size(), 0.0);
   std::vector<double> prevPerSourcePsd(sources.size(), 0.0);
 
-  const int n = unknownCount_;
-  const bool sparse = solver_ == SolverKind::kSparse;
-  // Dense scratch is hoisted out of the sweep; on the sparse path the
-  // per-frequency factorization reuses the cached pattern and ordering.
-  DenseMatrix<std::complex<double>> a(sparse ? 1 : n, sparse ? 1 : n);
-  std::vector<std::complex<double>> dummyRhs, rhs(static_cast<size_t>(n)),
-      x(static_cast<size_t>(n));
-  std::vector<int> perm;
+  // The per-frequency factorization reuses the cached pattern and
+  // ordering.
+  const auto n = static_cast<size_t>(unknownCount_);
+  std::vector<std::complex<double>> rhs(n), x(n);
   for (size_t k = 0; k < frequencies.size(); ++k) {
     ++stats_.matrixSolves;
     const double f = frequencies[k];
     const double omega = 2.0 * 3.14159265358979323846 * f;
-    if (sparse) {
-      acSparseFactor(sop, omega, "noise");
-    } else {
-      a.setZero();
-      dummyRhs.assign(static_cast<size_t>(n), {0.0, 0.0});
-      DenseAcStamper st(a, dummyRhs);
-      for (const auto& dev : ckt_.devices()) dev->loadAc(st, sop, omega);
-      if (!a.luFactor(perm))
-        throw Error("noise: singular system at f = " + std::to_string(f));
-    }
+    acSparseFactor(sop, omega, "noise");
 
     // Transfer impedance from each source to the output, reusing the
     // factorisation.
@@ -822,10 +721,7 @@ NoiseResult Analyzer::noise(const std::vector<double>& frequencies,
       std::fill(rhs.begin(), rhs.end(), std::complex<double>{0.0, 0.0});
       if (src.a > 0) rhs[static_cast<size_t>(src.a - 1)] += 1.0;
       if (src.b > 0) rhs[static_cast<size_t>(src.b - 1)] -= 1.0;
-      if (sparse)
-        luAc_.solve(rhs, x);
-      else
-        a.luSolve(perm, rhs, x);
+      luAc_.solve(rhs, x);
       const double h2 = std::norm(x[static_cast<size_t>(out - 1)]);
       const double psd = h2 * src.psdAt(f);
       perSourcePsd[si] = psd;

@@ -26,21 +26,6 @@ namespace ahfic::spice {
 
 class ForensicsRecorder;
 
-/// Matrix backend for the MNA solves.
-enum class SolverKind {
-  kAuto,          ///< dense up to kDenseBackendMaxUnknowns, else kSparse
-  kDense,         ///< dense LU (the correctness oracle)
-  kSparseLegacy,  ///< row-list SparseMatrix::solveInPlace (ablation baseline)
-  kSparse,        ///< structure-caching CSR SparseLU (csr.h / sparse_lu.h)
-};
-
-/// Unknown count above which kAuto switches from dense to the
-/// structure-caching sparse backend. Dense LU is O(n^3) per iteration
-/// but has unbeatable constants on small systems; the crossover sits
-/// around a hundred unknowns on current hardware (see BENCH_solver.json
-/// for the measured trajectory).
-inline constexpr int kDenseBackendMaxUnknowns = 128;
-
 /// Tolerances and iteration limits. Defaults follow SPICE conventions.
 struct AnalysisOptions {
   double reltol = 1e-3;    ///< relative convergence tolerance
@@ -48,11 +33,6 @@ struct AnalysisOptions {
   double abstol = 1e-9;    ///< absolute branch-current tolerance [A]
   double gmin = 1e-12;     ///< junction shunt conductance [S]
   int maxNewtonIters = 100;
-  /// Backend selection. kAuto picks dense or sparse by unknown count;
-  /// the legacy `useSparse` flag (kept for existing call sites) maps to
-  /// kSparseLegacy when `solver` is left at kAuto.
-  SolverKind solver = SolverKind::kAuto;
-  bool useSparse = false;  ///< legacy alias for solver = kSparseLegacy
   IntegMethod method = IntegMethod::kTrapezoidal;
   /// Damped-trapezoidal blend: 0 = pure trapezoidal (can sustain
   /// period-2 ringing on stiff switching circuits), 1 = backward Euler.
@@ -146,13 +126,13 @@ struct AnalyzerStats {
   long rejectedSteps = 0;
   long gminSteps = 0;
   long sourceSteps = 0;
-  /// kSparse backend only: positions added to the CSR pattern *after*
-  /// the initial structural priming pass (published as
+  /// Positions added to the CSR pattern *after* the initial structural
+  /// priming pass (published as
   /// `spice.sparse.pattern_inserts`). Steady-state Newton iteration
   /// performs none — a nonzero value means a device stamped a position
   /// the priming pass failed to predict.
   long sparsePatternInserts = 0;
-  long sparseFullFactors = 0;  ///< pivoting factorizations (kSparse)
+  long sparseFullFactors = 0;  ///< pivoting factorizations
   long sparseRefactors = 0;    ///< pattern-reusing refactorizations
 };
 
@@ -169,7 +149,10 @@ class Analyzer {
 
   /// DC operating point. Tries plain Newton, then gmin stepping, then
   /// source stepping. Throws ahfic::ConvergenceError when all fail.
-  /// The result vector is indexed by (unknown id - 1).
+  /// The result vector is indexed by (unknown id - 1). Every call
+  /// restarts from a zero guess and a fresh pivoting factorization, so
+  /// calling op() again after changing a source value reproduces a
+  /// fresh Analyzer's result bit for bit.
   std::vector<double> op();
 
   /// Sweeps the DC value of the named V or I source. Each point is a full
@@ -201,8 +184,6 @@ class Analyzer {
 
   const AnalyzerStats& stats() const { return stats_; }
   const AnalysisOptions& options() const { return opts_; }
-  /// Backend actually in use (kAuto/useSparse resolved at construction).
-  SolverKind solverKind() const { return solver_; }
   /// The convergence-forensics recorder, or nullptr when
   /// AnalysisOptions::forensics is off. Buffers cover the most recent
   /// stats window (reset with it).
@@ -224,21 +205,19 @@ class Analyzer {
   /// Called on successful completion only: work from an analysis that
   /// threw stays unpublished (the next resetStats discards it).
   void publishStats(const char* analysis);
-  void assemble(Stamper& s, const Solution& x, const LoadContext& ctx);
   /// One Newton solve at fixed context; x is both input guess and output.
   NewtonOutcome newton(std::vector<double>& x, LoadContext& ctx);
   NewtonOutcome newtonInner(std::vector<double>& x, LoadContext& ctx);
   /// Shared AC sweep body; optionally opens a fresh stats window.
   AcResult acLinear(const std::vector<double>& frequencies,
                     const std::vector<double>& opSolution, bool freshWindow);
-  bool solveLinear(std::vector<double>& x);
   std::vector<double> opWithContext(LoadContext& ctx);
   /// Builds the "ahfic-diag-v1" report from the forensics buffers (when
   /// recording) and throws ConvergenceError carrying it.
   [[noreturn]] void throwConvergence(const char* stage, double stageValue,
                                      const std::string& message);
 
-  // kSparse backend (structure-caching CSR core).
+  // Structure-caching CSR core.
   /// Assemble + factor + solve for one Newton iteration; false on a
   /// singular system.
   bool sparseIterate(const Solution& x, const LoadContext& ctx,
@@ -259,7 +238,6 @@ class Analyzer {
 
   Circuit& ckt_;
   AnalysisOptions opts_;
-  SolverKind solver_ = SolverKind::kDense;  ///< resolved backend
   int unknownCount_ = 0;
   int stateCount_ = 0;
   AnalyzerStats stats_;
@@ -276,24 +254,18 @@ class Analyzer {
   /// (0 = none); resolved to a name by the report builder.
   int lastSingularUnknown_ = 0;
 
-  // Scratch for the real solves.
-  DenseMatrix<double> a_;
-  SparseMatrix<double> as_;
-  std::vector<double> rhs_;
-
-  // kSparse real path: pattern + slot-ordered values, the cached static
+  // Real path: pattern + slot-ordered values and RHS, the cached static
   // baseline stamped by linear devices, and the solver bound to the
   // pattern's current epoch.
   CsrPattern pat_;
   SparseLU<double> lu_;
-  std::vector<double> vals_, staticVals_, scratchRhs_;
+  std::vector<double> vals_, rhs_, staticVals_, scratchRhs_;
   std::vector<std::pair<int, int>> pending_;
-  bool patternPrimed_ = false;
   bool staticValid_ = false;
   std::uint64_t staticEpoch_ = 0;
   double staticC0_ = 0.0;
 
-  // kSparse complex path (AC/noise sweeps).
+  // Complex path (AC/noise sweeps).
   CsrPattern patAc_;
   SparseLU<std::complex<double>> luAc_;
   std::vector<std::complex<double>> valsAc_, rhsAc_;

@@ -137,8 +137,6 @@ ReplicaBatch::ReplicaBatch(std::vector<std::unique_ptr<Circuit>> replicas,
   if (circuits_.empty()) throw Error("ReplicaBatch: no replicas");
   if (opts_.analysis.forensics)
     throw Error("ReplicaBatch: convergence forensics is not supported");
-  opts_.analysis.solver = SolverKind::kSparse;
-  opts_.analysis.useSparse = false;
 
   const size_t R = circuits_.size();
   linearDevs_.resize(R);

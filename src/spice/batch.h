@@ -37,8 +37,7 @@
 //
 // Bit-identity contract: for identical circuits and options, every
 // solution ReplicaBatch::op() returns is bit-identical to what a fresh
-// `Analyzer(ckt, opts)` with `opts.solver = SolverKind::kSparse`
-// returns from op() on that replica's circuit. The equivalence suite
+// `Analyzer(ckt, opts)` returns from op() on that replica's circuit. The equivalence suite
 // (tests/spice_batch_test.cpp) enforces this with hex-float compares.
 //
 // Limits (checked at construction): nonlinear devices must be Bjt or
@@ -75,7 +74,7 @@ struct BatchStats {
 class ReplicaBatch {
  public:
   struct Options {
-    AnalysisOptions analysis;  ///< tolerances; solver is forced to kSparse
+    AnalysisOptions analysis;  ///< tolerances and iteration limits
     /// Ablation knob: discard the recorded pivot/fill sequence before
     /// every factorization so each Newton iteration pays a full
     /// pivoting factor. Timing-only — pivots may differ from the

@@ -1,12 +1,10 @@
 #pragma once
-// Linear-algebra kernels for MNA: a dense LU with partial pivoting and a
-// simple sparse (row-compressed) Gaussian elimination. Both are templated
-// over the scalar so the same code serves DC/transient (double) and AC
-// (std::complex<double>).
+// Dense LU with partial pivoting, templated over the scalar so the same
+// code serves real (DC/transient) and complex (AC) systems.
 //
-// Circuits in this project are small (tens to a few hundred unknowns), so a
-// robust dense solve is the default; the sparse path exists for the
-// dense-vs-sparse ablation (bench_micro) and for larger decks.
+// No analysis runs on it: every MNA solve goes through the
+// structure-caching SparseLU (sparse_lu.h). DenseMatrix and solveDense
+// are the reference the tests and bench_micro check that solver against.
 
 #include <algorithm>
 #include <cmath>
@@ -103,104 +101,6 @@ class DenseMatrix {
   int rows_ = 0;
   int cols_ = 0;
   std::vector<T> data_;
-};
-
-/// Sparse matrix with per-row sorted (column, value) entries. Supports
-/// incremental accumulation (add) and destructive Gaussian elimination with
-/// partial pivoting (solveInPlace).
-template <typename T>
-class SparseMatrix {
- public:
-  SparseMatrix() = default;
-  explicit SparseMatrix(int n) : n_(n), rows_(static_cast<size_t>(n)) {}
-
-  int size() const { return n_; }
-
-  void setZero() {
-    for (auto& row : rows_) row.clear();
-  }
-
-  /// Accumulates `v` into entry (r, c).
-  void add(int r, int c, T v) {
-    auto& row = rows_[static_cast<size_t>(r)];
-    auto it = std::lower_bound(
-        row.begin(), row.end(), c,
-        [](const Entry& e, int col) { return e.col < col; });
-    if (it != row.end() && it->col == c)
-      it->val += v;
-    else
-      row.insert(it, Entry{c, v});
-  }
-
-  T get(int r, int c) const {
-    const auto& row = rows_[static_cast<size_t>(r)];
-    auto it = std::lower_bound(
-        row.begin(), row.end(), c,
-        [](const Entry& e, int col) { return e.col < col; });
-    return (it != row.end() && it->col == c) ? it->val : T{};
-  }
-
-  size_t nonzeros() const {
-    size_t n = 0;
-    for (const auto& row : rows_) n += row.size();
-    return n;
-  }
-
-  /// Destructive solve of (this) x = b by row-based Gaussian elimination
-  /// with partial pivoting. Returns false on numerical singularity.
-  bool solveInPlace(std::vector<T>& b, std::vector<T>& x) {
-    const int n = n_;
-    std::vector<int> rowOf(static_cast<size_t>(n));  // physical row of pivot k
-    std::vector<bool> used(static_cast<size_t>(n), false);
-    for (int k = 0; k < n; ++k) {
-      // Pick the unused row with the largest magnitude in column k.
-      int best = -1;
-      double bestMag = 1e-300;
-      for (int r = 0; r < n; ++r) {
-        if (used[static_cast<size_t>(r)]) continue;
-        const double m = pivotMag(get(r, k));
-        if (m > bestMag) {
-          bestMag = m;
-          best = r;
-        }
-      }
-      if (best < 0) return false;
-      used[static_cast<size_t>(best)] = true;
-      rowOf[static_cast<size_t>(k)] = best;
-      const T pivot = get(best, k);
-      for (int r = 0; r < n; ++r) {
-        if (used[static_cast<size_t>(r)] && r != best) continue;
-        if (r == best) continue;
-        const T a = get(r, k);
-        if (a == T{}) continue;
-        const T m = a / pivot;
-        // row_r -= m * row_best
-        for (const auto& e : rows_[static_cast<size_t>(best)]) {
-          if (e.col >= k) add(r, e.col, -m * e.val);
-        }
-        b[static_cast<size_t>(r)] -= m * b[static_cast<size_t>(best)];
-      }
-    }
-    // Back substitution in pivot order.
-    x.assign(static_cast<size_t>(n), T{});
-    for (int k = n - 1; k >= 0; --k) {
-      const int r = rowOf[static_cast<size_t>(k)];
-      T s = b[static_cast<size_t>(r)];
-      for (const auto& e : rows_[static_cast<size_t>(r)]) {
-        if (e.col > k) s -= e.val * x[static_cast<size_t>(e.col)];
-      }
-      x[static_cast<size_t>(k)] = s / get(r, k);
-    }
-    return true;
-  }
-
- private:
-  struct Entry {
-    int col;
-    T val;
-  };
-  int n_ = 0;
-  std::vector<std::vector<Entry>> rows_;
 };
 
 /// Convenience one-shot dense solve: returns x with A x = b.

@@ -717,24 +717,8 @@ class DeckParser {
       if (toks.size() < 2) throw ParseError(".TEMP needs a value", line);
       ckt_.setTemperatureC(num(toks[1], line, "temperature"));
     } else if (first == ".OPTIONS" || first == ".OPTION") {
-      // Only the solver backend choice is interpreted; other options are
-      // tolerated (real-world decks carry plenty of simulator-specific
-      // flags).
-      for (size_t k = 1; k < toks.size(); ++k) {
-        const std::string up = util::toUpper(toks[k]);
-        if (up == "SPARSE") {
-          solverOption_ = "sparse";
-        } else if (up == "DENSE") {
-          solverOption_ = "dense";
-        } else if (up.rfind("SOLVER=", 0) == 0) {
-          const std::string v = util::toLower(up.substr(7));
-          if (v != "auto" && v != "dense" && v != "sparse" && v != "legacy")
-            throw ParseError("unknown SOLVER choice '" + v +
-                                 "' (auto/dense/sparse/legacy)",
-                             line);
-          solverOption_ = v;
-        }
-      }
+      // Tolerated and ignored: real-world decks carry plenty of
+      // simulator-specific flags.
     } else {
       throw ParseError("unsupported card '" + first + "'", line);
     }
@@ -748,22 +732,15 @@ class DeckParser {
   std::vector<PendingDiode> pendingDiodes_;
   std::vector<PendingMos> pendingMos_;
   std::vector<AnalysisRequest> analyses_;
-  std::string solverOption_;
   bool ended_ = false;
-
- public:
-  const std::string& solverOption() const { return solverOption_; }
 };
 
 }  // namespace
 
 std::vector<AnalysisRequest> parseInto(Circuit& ckt, const std::string& text,
-                                       int lineOffset,
-                                       std::string* solverOption) {
+                                       int lineOffset) {
   DeckParser parser(ckt);
-  auto analyses = parser.run(text, lineOffset);
-  if (solverOption != nullptr) *solverOption = parser.solverOption();
-  return analyses;
+  return parser.run(text, lineOffset);
 }
 
 Deck parseDeck(const std::string& text) {
@@ -773,7 +750,7 @@ Deck parseDeck(const std::string& text) {
       util::trim(eol == std::string::npos ? text : text.substr(0, eol)));
   const std::string body =
       eol == std::string::npos ? std::string() : text.substr(eol + 1);
-  deck.analyses = parseInto(deck.circuit, body, 1, &deck.solverOption);
+  deck.analyses = parseInto(deck.circuit, body, 1);
   return deck;
 }
 

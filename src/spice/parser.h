@@ -78,12 +78,6 @@ struct Deck {
   std::string title;
   Circuit circuit;
   std::vector<AnalysisRequest> analyses;
-  /// Solver-backend request from a `.OPTIONS` card: "dense", "sparse",
-  /// "legacy" or "auto"; empty when the deck leaves the choice to the
-  /// engine's size heuristic. Kept as a string so the parser stays
-  /// independent of the analysis layer (rundeck maps it to SolverKind;
-  /// lint checks only whether it was explicit).
-  std::string solverOption;
 };
 
 /// Parses a full deck from text. Throws ahfic::ParseError with a line
@@ -92,10 +86,8 @@ Deck parseDeck(const std::string& text);
 
 /// Parses netlist body text (no title line, no .END required) into an
 /// existing circuit. Returns the analyses encountered. Used to splice
-/// cell-database schematics into a host circuit. When `solverOption` is
-/// non-null it receives any `.OPTIONS` solver choice (see Deck).
+/// cell-database schematics into a host circuit.
 std::vector<AnalysisRequest> parseInto(Circuit& ckt, const std::string& text,
-                                       int lineOffset = 0,
-                                       std::string* solverOption = nullptr);
+                                       int lineOffset = 0);
 
 }  // namespace ahfic::spice

@@ -142,15 +142,6 @@ void printNoise(const NoiseRequest& req, const NoiseResult& res,
   os << '\n';
 }
 
-/// Maps the deck's `.OPTIONS` solver string onto a backend; unknown or
-/// empty strings fall back to the size heuristic.
-SolverKind solverFromDeck(const std::string& option) {
-  if (option == "dense") return SolverKind::kDense;
-  if (option == "sparse") return SolverKind::kSparse;
-  if (option == "legacy") return SolverKind::kSparseLegacy;
-  return SolverKind::kAuto;
-}
-
 }  // namespace
 
 void runDeck(Deck& deck, std::ostream& os, const RunDeckOptions& options) {
@@ -159,11 +150,8 @@ void runDeck(Deck& deck, std::ostream& os, const RunDeckOptions& options) {
     os << "* no analyses requested; nothing to do\n";
     return;
   }
-  AnalysisOptions anOpts = options.analysis;
-  if (!deck.solverOption.empty())
-    anOpts.solver = solverFromDeck(deck.solverOption);
   for (const auto& request : deck.analyses) {
-    Analyzer an(deck.circuit, anOpts);
+    Analyzer an(deck.circuit, options.analysis);
     if (std::holds_alternative<OpRequest>(request)) {
       printOp(deck.circuit, an.op(), os);
     } else if (const auto* dc = std::get_if<DcRequest>(&request)) {

@@ -15,10 +15,9 @@ struct RunDeckOptions {
   int maxColumns = 8;     ///< node-voltage columns per printed table
   int maxTranRows = 40;   ///< transient rows (decimated to this many)
   int maxSweepRows = 60;  ///< DC/AC rows
-  /// Base analysis options (tolerances, forensics, solver choice) for
-  /// every analysis in the deck. A `.OPTIONS SOLVER=` card in the deck
-  /// still overrides the backend; everything else passes through, which
-  /// is how the runner's retry ladder and --diag reach deck solves.
+  /// Analysis options (tolerances, forensics) for every analysis in the
+  /// deck; `.OPTIONS` cards never override them. This is how the
+  /// runner's retry ladder and --diag reach deck solves.
   AnalysisOptions analysis;
 };
 

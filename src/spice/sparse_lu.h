@@ -256,7 +256,11 @@ class SparseLU {
 
   /// Full Gilbert-Peierls left-looking factorization with threshold
   /// partial pivoting; records the fill pattern and pivot sequence for
-  /// later refactorizations. Returns false on singularity.
+  /// later refactorizations. Returns false on singularity. L and U are
+  /// written straight into the flat factor arrays, column by column
+  /// (column k of each is final once step k is done), and all scratch
+  /// keeps its capacity across calls: an operating point opens with one
+  /// of these, so it must not allocate per column.
   bool fullFactor(const std::vector<T>& vals) {
     const int n = n_;
     pinv_.assign(static_cast<size_t>(n), -1);
@@ -264,45 +268,43 @@ class SparseLU {
     diag_.assign(static_cast<size_t>(n), T{});
     work_.assign(static_cast<size_t>(n), T{});
     visit_.assign(static_cast<size_t>(n), -1);
-    std::vector<std::vector<std::pair<int, T>>> lCols(
-        static_cast<size_t>(n));
-    std::vector<std::vector<std::pair<int, T>>> uCols(
-        static_cast<size_t>(n));
-    std::vector<int> topo;
-    std::vector<std::pair<int, int>> stack;  // (row, child cursor)
+    lColPtr_.assign(static_cast<size_t>(n) + 1, 0);
+    uColPtr_.assign(static_cast<size_t>(n) + 1, 0);
+    lRows_.clear();
+    lVals_.clear();
+    uSteps_.clear();
+    uVals_.clear();
 
     for (int k = 0; k < n; ++k) {
       const int j = colOrder_[static_cast<size_t>(k)];
       // Symbolic: rows reachable from A(:,j) through finished L columns,
       // collected in DFS postorder (reverse = topological order).
-      topo.clear();
+      topo_.clear();
       for (int p = aColPtr_[static_cast<size_t>(j)];
            p < aColPtr_[static_cast<size_t>(j) + 1]; ++p) {
         const int r0 = aRowIdx_[static_cast<size_t>(p)];
         if (visit_[static_cast<size_t>(r0)] == k) continue;
         visit_[static_cast<size_t>(r0)] = k;
-        stack.emplace_back(r0, 0);
-        while (!stack.empty()) {
-          auto& [r, cur] = stack.back();
+        stack_.emplace_back(r0, 0);
+        while (!stack_.empty()) {
+          auto& [r, cur] = stack_.back();
           const int kp = pinv_[static_cast<size_t>(r)];
+          // Children: the rows of L column kp (none while r is unpivoted).
+          const int lBegin = kp >= 0 ? lColPtr_[static_cast<size_t>(kp)] : 0;
+          const int lEnd = kp >= 0 ? lColPtr_[static_cast<size_t>(kp) + 1] : 0;
           bool descended = false;
-          if (kp >= 0) {
-            auto& lc = lCols[static_cast<size_t>(kp)];
-            while (cur < static_cast<int>(lc.size())) {
-              const int child = lc[static_cast<size_t>(cur++)].first;
-              if (visit_[static_cast<size_t>(child)] != k) {
-                visit_[static_cast<size_t>(child)] = k;
-                stack.emplace_back(child, 0);
-                descended = true;
-                break;
-              }
+          while (lBegin + cur < lEnd) {
+            const int child = lRows_[static_cast<size_t>(lBegin + cur++)];
+            if (visit_[static_cast<size_t>(child)] != k) {
+              visit_[static_cast<size_t>(child)] = k;
+              stack_.emplace_back(child, 0);
+              descended = true;
+              break;
             }
           }
-          if (!descended &&
-              (kp < 0 || stack.back().second >=
-                             static_cast<int>(lCols[static_cast<size_t>(kp)].size()))) {
-            topo.push_back(stack.back().first);
-            stack.pop_back();
+          if (!descended) {
+            topo_.push_back(r);
+            stack_.pop_back();
           }
         }
       }
@@ -311,20 +313,23 @@ class SparseLU {
            p < aColPtr_[static_cast<size_t>(j) + 1]; ++p)
         work_[static_cast<size_t>(aRowIdx_[static_cast<size_t>(p)])] =
             vals[static_cast<size_t>(aCsrSlot_[static_cast<size_t>(p)])];
-      for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+      uCol_.clear();
+      for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
         const int s = *it;
         const int kp = pinv_[static_cast<size_t>(s)];
         if (kp < 0) continue;
         const T alpha = work_[static_cast<size_t>(s)];
-        uCols[static_cast<size_t>(k)].emplace_back(kp, alpha);
+        uCol_.emplace_back(kp, alpha);
         if (alpha != T{})
-          for (const auto& [r, lv] : lCols[static_cast<size_t>(kp)])
-            work_[static_cast<size_t>(r)] -= alpha * lv;
+          for (int q = lColPtr_[static_cast<size_t>(kp)];
+               q < lColPtr_[static_cast<size_t>(kp) + 1]; ++q)
+            work_[static_cast<size_t>(lRows_[static_cast<size_t>(q)])] -=
+                alpha * lVals_[static_cast<size_t>(q)];
       }
       // Pivot: largest unpivoted row, diagonal preferred when close.
       int maxRow = -1;
       double maxMag = 0.0;
-      for (const int s : topo) {
+      for (const int s : topo_) {
         if (pinv_[static_cast<size_t>(s)] >= 0) continue;
         const double m = pivotMag(work_[static_cast<size_t>(s)]);
         if (maxRow < 0 || m > maxMag) {
@@ -334,7 +339,7 @@ class SparseLU {
       }
       if (maxRow < 0 || maxMag < kAbsTiny) {
         lastSingularCol_ = j;
-        clearWork(topo);
+        clearWork(topo_);
         return false;
       }
       int pivot = maxRow;
@@ -346,43 +351,25 @@ class SparseLU {
       pinv_[static_cast<size_t>(pivot)] = k;
       const T piv = work_[static_cast<size_t>(pivot)];
       diag_[static_cast<size_t>(k)] = piv;
-      for (const int s : topo)
-        if (pinv_[static_cast<size_t>(s)] < 0)
-          lCols[static_cast<size_t>(k)].emplace_back(
-              s, work_[static_cast<size_t>(s)] / piv);
-      clearWork(topo);
-    }
-    // Flatten; U columns sorted by pivot step so the refactor replay is
-    // a plain ascending scan.
-    lColPtr_.assign(static_cast<size_t>(n) + 1, 0);
-    uColPtr_.assign(static_cast<size_t>(n) + 1, 0);
-    size_t lNnz = 0, uNnz = 0;
-    for (int k = 0; k < n; ++k) {
-      lNnz += lCols[static_cast<size_t>(k)].size();
-      uNnz += uCols[static_cast<size_t>(k)].size();
-    }
-    lRows_.resize(lNnz);
-    lVals_.resize(lNnz);
-    uSteps_.resize(uNnz);
-    uVals_.resize(uNnz);
-    size_t lp = 0, up = 0;
-    for (int k = 0; k < n; ++k) {
-      for (const auto& [r, v] : lCols[static_cast<size_t>(k)]) {
-        lRows_[lp] = r;
-        lVals_[lp++] = v;
-      }
-      lColPtr_[static_cast<size_t>(k) + 1] = static_cast<int>(lp);
-      auto& uc = uCols[static_cast<size_t>(k)];
-      std::sort(uc.begin(), uc.end(),
+      for (const int s : topo_)
+        if (pinv_[static_cast<size_t>(s)] < 0) {
+          lRows_.push_back(s);
+          lVals_.push_back(work_[static_cast<size_t>(s)] / piv);
+        }
+      lColPtr_[static_cast<size_t>(k) + 1] = static_cast<int>(lRows_.size());
+      // U columns sorted by pivot step so the refactor replay is a plain
+      // ascending scan.
+      std::sort(uCol_.begin(), uCol_.end(),
                 [](const auto& x, const auto& y) { return x.first < y.first; });
-      for (const auto& [s, v] : uc) {
-        uSteps_[up] = s;
-        uVals_[up++] = v;
+      for (const auto& [step, v] : uCol_) {
+        uSteps_.push_back(step);
+        uVals_.push_back(v);
       }
-      uColPtr_[static_cast<size_t>(k) + 1] = static_cast<int>(up);
+      uColPtr_[static_cast<size_t>(k) + 1] = static_cast<int>(uSteps_.size());
+      clearWork(topo_);
     }
-    stats_.nnzL = lNnz;
-    stats_.nnzU = uNnz;
+    stats_.nnzL = lRows_.size();
+    stats_.nnzU = uSteps_.size();
     haveSymbolic_ = true;
     return true;
   }
@@ -468,6 +455,11 @@ class SparseLU {
   std::vector<T> work_;
   std::vector<int> visit_;
   mutable std::vector<T> work2_;
+  // fullFactor scratch: DFS stack (row, child cursor), topological
+  // order, and the current U column before its sort.
+  std::vector<std::pair<int, int>> stack_;
+  std::vector<int> topo_;
+  std::vector<std::pair<int, T>> uCol_;
 };
 
 }  // namespace ahfic::spice

@@ -2,10 +2,12 @@
 // Stamping interfaces through which devices contribute to the MNA system.
 //
 // `Stamper` (real, DC/transient) and `AcStamper` (complex, AC) hide the
-// matrix backend (dense or sparse) and perform the unknown-id -> row
-// mapping, dropping any contribution that involves ground (id 0).
+// stamping target and perform the unknown-id -> row mapping, dropping any
+// contribution that involves ground (id 0). The analyses stamp into a
+// CsrPattern; DenseStamper and DenseAcStamper fill a DenseMatrix and
+// serve only as the reference the tests solve with solveDense.
 //
-// The CSR backend adds a slot protocol on top: a stamper bound to a
+// The CSR target adds a slot protocol on top: a stamper bound to a
 // CsrPattern exposes patternEpoch()/locateA()/addAt(), and devices wrap
 // whatever stamper they are handed in a SlotWriter that memoizes the
 // slot of every matrix position they touch (see StampMemo). After the
@@ -131,7 +133,7 @@ class AcStamper {
   }
 };
 
-/// Dense-backed real stamper.
+/// Dense-backed real stamper (test reference; see the file comment).
 class DenseStamper final : public Stamper {
  public:
   DenseStamper(DenseMatrix<double>& a, std::vector<double>& rhs)
@@ -148,24 +150,7 @@ class DenseStamper final : public Stamper {
   std::vector<double>& rhs_;
 };
 
-/// Sparse-backed real stamper.
-class SparseStamper final : public Stamper {
- public:
-  SparseStamper(SparseMatrix<double>& a, std::vector<double>& rhs)
-      : a_(a), rhs_(rhs) {}
-  void addA(int r, int c, double v) override {
-    if (r > 0 && c > 0) a_.add(r - 1, c - 1, v);
-  }
-  void addRhs(int r, double v) override {
-    if (r > 0) rhs_[static_cast<size_t>(r - 1)] += v;
-  }
-
- private:
-  SparseMatrix<double>& a_;
-  std::vector<double>& rhs_;
-};
-
-/// Dense-backed complex stamper for AC.
+/// Dense-backed complex stamper for AC (test reference).
 class DenseAcStamper final : public AcStamper {
  public:
   DenseAcStamper(DenseMatrix<std::complex<double>>& a,

@@ -222,20 +222,3 @@ RL c1 0 10k
   EXPECT_FALSE(r.hasErrors()) << r.renderText();
 }
 
-TEST(LintNetlist, LargeDeckWithoutSolverChoiceGetsInfo) {
-  std::string body = "big ladder\nV1 n0 0 DC 1\n";
-  for (int k = 0; k < 150; ++k) {
-    body += "R" + std::to_string(k) + " n" + std::to_string(k) + " n" +
-            std::to_string(k + 1) + " 1k\n";
-    body += "C" + std::to_string(k) + " n" + std::to_string(k + 1) +
-            " 0 1p\n";
-  }
-  const auto noisy = lintText((body + ".OP\n.END\n").c_str());
-  ASSERT_TRUE(noisy.hasCode("NET_SOLVER_CHOICE")) << noisy.renderText();
-  // Informational only — never gates.
-  EXPECT_FALSE(noisy.hasErrors());
-  // An explicit choice silences it.
-  const auto quiet =
-      lintText((body + ".OPTIONS SOLVER=sparse\n.OP\n.END\n").c_str());
-  EXPECT_FALSE(quiet.hasCode("NET_SOLVER_CHOICE")) << quiet.renderText();
-}

@@ -308,3 +308,39 @@ TEST(RunnerWorkloads, CornerJobsBracketTypical) {
   EXPECT_LT(slow, typical);
   EXPECT_LT(typical, fast);
 }
+
+TEST(RunnerWorkloads, BatchedMonteCarloFtMatchesScalarUnderDefaults) {
+  // The batched data plane and the scalar one-job-per-die pipeline must
+  // report hex-float-identical per-die fT and VBE with nothing but the
+  // shared base seed configured: the scalar jobs' Analyzers and the
+  // ReplicaBatch run the same solver under default options.
+  const int dies = 10;
+  const rn::RunnerOptions opts;
+  const auto scalarJobs =
+      rn::monteCarloFtJobs(bg::defaultTechnology(), bg::ProcessVariation{},
+                           dies, "N1.2-12D", 3e-3);
+  const auto batchJobs = rn::monteCarloFtBatchJobs(
+      bg::defaultTechnology(), bg::ProcessVariation{}, dies, "N1.2-12D",
+      3e-3, 4, opts.baseSeed);
+  const auto scalar = rn::BatchRunner(opts).run(scalarJobs);
+  const auto batched = rn::BatchRunner(opts).run(batchJobs);
+  ASSERT_EQ(scalar.outcomes.size(), static_cast<size_t>(dies));
+  ASSERT_EQ(batched.outcomes.size(), 3u);
+
+  const auto hex = [](double v) {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return std::string(buf);
+  };
+  for (int d = 0; d < dies; ++d) {
+    SCOPED_TRACE("die " + std::to_string(d));
+    const auto& s = scalar.outcomes[static_cast<size_t>(d)];
+    const auto& b = batched.outcomes[static_cast<size_t>(d / 4)];
+    ASSERT_TRUE(s.ok());
+    ASSERT_TRUE(b.ok());
+    const std::string tag = "die" + std::to_string(d);
+    ASSERT_TRUE(b.result.has(tag + "/ft"));
+    EXPECT_EQ(hex(s.result.get("ft")), hex(b.result.get(tag + "/ft")));
+    EXPECT_EQ(hex(s.result.get("vbe")), hex(b.result.get(tag + "/vbe")));
+  }
+}

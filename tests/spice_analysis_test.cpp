@@ -1,9 +1,11 @@
-// Analysis-engine robustness: statistics, integration methods, sparse
-// backend on nonlinear circuits, grids, and failure modes.
+// Analysis-engine robustness: statistics, integration methods, the
+// dense-LU oracle on nonlinear circuits, grids, and failure modes.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 
 #include "spice/analysis.h"
 #include "spice/bjt.h"
@@ -12,6 +14,8 @@
 #include "spice/passive.h"
 #include "spice/sources.h"
 #include "util/error.h"
+
+#include "dense_oracle.h"
 
 namespace sp = ahfic::spice;
 
@@ -187,14 +191,11 @@ TEST(AnalysisBackend, SparseMatchesDenseOnNonlinearCircuit) {
     ckt.add<sp::Bjt>("Q1", ckt, c, b, e, m);
     ckt.add<sp::Resistor>("RE", e, 0, 500.0);
   };
-  sp::Circuit c1, c2;
-  build(c1);
-  build(c2);
-  sp::AnalysisOptions dense, sparse;
-  sparse.useSparse = true;
-  sp::Analyzer ad(c1, dense), as(c2, sparse);
-  const auto xd = ad.op();
-  const auto xs = as.op();
+  sp::Circuit ckt;
+  build(ckt);
+  sp::Analyzer an(ckt);
+  const auto xs = an.op();
+  const auto xd = dense_oracle::op(ckt, an.unknownCount());
   ASSERT_EQ(xd.size(), xs.size());
   for (size_t i = 0; i < xd.size(); ++i)
     EXPECT_NEAR(xd[i], xs[i], 1e-6) << i;
@@ -286,4 +287,44 @@ TEST(AnalysisOp, WarmRestartViaSweepIsConsistent) {
   // Agreement at the Newton-tolerance scale (reltol = 1e-3).
   for (size_t k = 0; k < n; ++k)
     EXPECT_NEAR(up.voltage(k, out), down.voltage(n - 1 - k, out), 2e-3);
+}
+
+TEST(AnalysisOp, ReusedAnalyzerMatchesFreshBitForBit) {
+  // op() restarts with a pivoting factorization, so re-solving one
+  // Analyzer at a new source value equals a fresh Analyzer exactly, not
+  // just within tolerance (FtExtractor's bias search relies on this to
+  // stay bit-identical to the batched Monte-Carlo plane). Replaying the
+  // previous solve's factorization instead would reorder the elimination
+  // updates and move the last bits on this ladder.
+  auto build = [](sp::Circuit& ckt, double v) {
+    const int in = ckt.node("in");
+    ckt.add<sp::VSource>("V1", in, 0, v);
+    sp::DiodeModel dm;
+    dm.is = 1e-14;
+    dm.rs = 10.0;
+    int prev = in;
+    for (int k = 0; k < 5; ++k) {
+      const int n = ckt.node("n" + std::to_string(k));
+      ckt.add<sp::Resistor>("R" + std::to_string(k), prev, n, 1e3);
+      ckt.add<sp::Resistor>("G" + std::to_string(k), n, 0, 5e3 + 100 * k);
+      if (k % 3 == 0)
+        ckt.add<sp::Diode>("D" + std::to_string(k), ckt, n, 0, dm);
+      prev = n;
+    }
+  };
+  sp::Circuit reused;
+  build(reused, 0.5);
+  sp::Analyzer an(reused);
+  auto* v1 = dynamic_cast<sp::VSource*>(reused.findDevice("V1"));
+  ASSERT_NE(v1, nullptr);
+  for (const double v : {0.9, 1.7, 3.0, 5.0, 0.4, 2.2}) {
+    v1->setWaveform(std::make_unique<sp::DcWaveform>(v));
+    const auto x = an.op();
+    sp::Circuit fresh;
+    build(fresh, v);
+    const auto xf = sp::Analyzer(fresh).op();
+    ASSERT_EQ(x.size(), xf.size());
+    for (size_t i = 0; i < x.size(); ++i)
+      EXPECT_EQ(x[i], xf[i]) << "V1 = " << v << ", unknown " << i + 1;
+  }
 }

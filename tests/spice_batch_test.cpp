@@ -2,10 +2,11 @@
 //
 // The contract under test (spice/batch.h): for identical circuits and
 // options, every solution ReplicaBatch::op() returns is BIT-identical —
-// hex-float compare, not a tolerance — to a fresh sparse Analyzer::op()
-// on that replica's circuit. Randomized over perturbed Gummel-Poon and
-// diode cards, plus the failure-path cases: pivot-collapse replay inside
-// SparseLU, iteration-starved fallback, and topology-mismatch rejection.
+// hex-float compare, not a tolerance — to a fresh Analyzer::op() on that
+// replica's circuit, both under default AnalysisOptions. Randomized over
+// perturbed Gummel-Poon and diode cards, plus the failure-path cases:
+// pivot-collapse replay inside SparseLU, iteration-starved fallback, and
+// topology-mismatch rejection.
 
 #include <gtest/gtest.h>
 
@@ -49,12 +50,6 @@ void expectBitIdentical(const std::vector<double>& scalar,
   for (size_t i = 0; i < scalar.size(); ++i)
     EXPECT_EQ(hexFloat(scalar[i]), hexFloat(batched[i]))
         << what << " unknown " << i + 1;
-}
-
-sp::AnalysisOptions sparseOpts() {
-  sp::AnalysisOptions opts;
-  opts.solver = sp::SolverKind::kSparse;
-  return opts;
 }
 
 /// The scalar icAtVbe bias cell from bjtgen/ft.cpp.
@@ -101,9 +96,7 @@ TEST(ReplicaBatchTest, BitIdenticalToScalarSparseAnalyzerOnBjtCells) {
 
   std::vector<std::unique_ptr<sp::Circuit>> replicas;
   for (const auto& card : cards) replicas.push_back(biasCell(card, 0.0, vce));
-  sp::ReplicaBatch::Options bo;
-  bo.analysis = sparseOpts();
-  sp::ReplicaBatch batch(std::move(replicas), bo);
+  sp::ReplicaBatch batch(std::move(replicas));
 
   for (const double vbe : vbes) {
     for (int r = 0; r < batch.replicaCount(); ++r) {
@@ -114,7 +107,7 @@ TEST(ReplicaBatchTest, BitIdenticalToScalarSparseAnalyzerOnBjtCells) {
     const auto res = batch.op();
     for (int r = 0; r < batch.replicaCount(); ++r) {
       auto scalarCkt = biasCell(cards[static_cast<size_t>(r)], vbe, vce);
-      sp::Analyzer an(*scalarCkt, sparseOpts());
+      sp::Analyzer an(*scalarCkt);
       const auto xs = an.op();
       expectBitIdentical(xs, res.x[static_cast<size_t>(r)],
                          "vbe=" + hexFloat(vbe) + " replica " +
@@ -144,13 +137,11 @@ TEST(ReplicaBatchTest, BitIdenticalOnDiodeCells) {
     models.push_back(m);
     replicas.push_back(diodeCell(m, 2.5));
   }
-  sp::ReplicaBatch::Options bo;
-  bo.analysis = sparseOpts();
-  sp::ReplicaBatch batch(std::move(replicas), bo);
+  sp::ReplicaBatch batch(std::move(replicas));
   const auto res = batch.op();
   for (int r = 0; r < batch.replicaCount(); ++r) {
     auto scalarCkt = diodeCell(models[static_cast<size_t>(r)], 2.5);
-    sp::Analyzer an(*scalarCkt, sparseOpts());
+    sp::Analyzer an(*scalarCkt);
     expectBitIdentical(an.op(), res.x[static_cast<size_t>(r)],
                        "diode replica " + std::to_string(r));
   }
@@ -161,7 +152,7 @@ TEST(ReplicaBatchTest, IterationStarvedReplicaFallsBackBitIdentically) {
   // scalar Analyzer escalates to gmin stepping inside op(), and the batch
   // falls back to exactly that Analyzer — results must still match bits.
   const auto cards = perturbedCards(4, 77);
-  sp::AnalysisOptions opts = sparseOpts();
+  sp::AnalysisOptions opts;
   opts.maxNewtonIters = 8;  // plain Newton needs ~16 from x = 0 here
 
   std::vector<std::unique_ptr<sp::Circuit>> replicas;
@@ -194,13 +185,7 @@ TEST(ReplicaBatchTest, RejectsTopologyMismatch) {
     ckt->add<sp::Bjt>("Q1", *ckt, c, c, 0, cards[1]);
     replicas.push_back(std::move(ckt));
   }
-  EXPECT_THROW(
-      {
-        sp::ReplicaBatch::Options bo;
-        bo.analysis = sparseOpts();
-        sp::ReplicaBatch batch(std::move(replicas), bo);
-      },
-      ahfic::Error);
+  EXPECT_THROW(sp::ReplicaBatch(std::move(replicas)), ahfic::Error);
 }
 
 TEST(ReplicaBatchTest, RejectsUnsupportedNonlinearDevice) {
@@ -213,9 +198,7 @@ TEST(ReplicaBatchTest, RejectsUnsupportedNonlinearDevice) {
     ckt->add<sp::Mosfet>("M1", *ckt, d, g, 0, 0, sp::MosModel{});
     replicas.push_back(std::move(ckt));
   }
-  sp::ReplicaBatch::Options bo;
-  bo.analysis = sparseOpts();
-  EXPECT_THROW(sp::ReplicaBatch(std::move(replicas), bo), ahfic::Error);
+  EXPECT_THROW(sp::ReplicaBatch(std::move(replicas)), ahfic::Error);
 }
 
 TEST(SparseLuBatchTest, PivotCollapseReplayFallsBackToFullFactor) {
@@ -252,11 +235,11 @@ TEST(SparseLuBatchTest, PivotCollapseReplayFallsBackToFullFactor) {
 TEST(BatchFtExtractorTest, BitIdenticalToScalarFtExtractor) {
   const auto cards = perturbedCards(6, 424242);
   const double ic = 1e-3;
-  bg::BatchFtExtractor bx(cards, 2.0, sparseOpts());
+  bg::BatchFtExtractor bx(cards);
   const auto batched = bx.measureAnalyticAt(ic);
   ASSERT_EQ(batched.size(), cards.size());
   for (size_t r = 0; r < cards.size(); ++r) {
-    const bg::FtExtractor fx(cards[r], 2.0, sparseOpts());
+    const bg::FtExtractor fx(cards[r]);
     const auto scalar = fx.measureAnalyticAt(ic);
     ASSERT_TRUE(batched[r].ok) << batched[r].error;
     EXPECT_EQ(hexFloat(scalar.vbe), hexFloat(batched[r].point.vbe))
@@ -268,7 +251,7 @@ TEST(BatchFtExtractorTest, BitIdenticalToScalarFtExtractor) {
 
 TEST(BatchFtExtractorTest, OutOfRangeDieReportsScalarErrorWithoutThrowing) {
   const auto cards = perturbedCards(3, 9);
-  bg::BatchFtExtractor bx(cards, 2.0, sparseOpts());
+  bg::BatchFtExtractor bx(cards);
   const auto res = bx.measureAnalyticAt(1e3);  // far beyond any bias cell
   for (const auto& die : res) {
     EXPECT_FALSE(die.ok);

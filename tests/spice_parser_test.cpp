@@ -255,18 +255,16 @@ TEST(ParseInto, SplicesIntoExistingCircuit) {
   EXPECT_NEAR(s.at(ckt.findNode("mid")), 0.5, 1e-9);
 }
 
-TEST(ParserOptions, SolverChoiceReachesTheDeck) {
+TEST(ParserOptions, SolverFlagIsToleratedLikeAnyOption) {
+  // The engine has one solver, so a deck's SOLVER= choice is ignored like
+  // every other simulator-specific .OPTIONS flag: the deck still parses
+  // and runs.
   auto deck = sp::parseDeck(
-      "opts\nR1 in 0 1k\nV1 in 0 1\n.OPTIONS SOLVER=sparse\n.OP\n.END\n");
-  EXPECT_EQ(deck.solverOption, "sparse");
-  // Bare keyword spellings and the .OPTION singular both work; unknown
-  // options are tolerated (decks carry simulator-specific flags).
-  deck = sp::parseDeck(
-      "opts\nR1 in 0 1k\nV1 in 0 1\n.OPTION RELTOL=1e-4 DENSE\n.OP\n.END\n");
-  EXPECT_EQ(deck.solverOption, "dense");
-  deck = sp::parseDeck("opts\nR1 in 0 1k\nV1 in 0 1\n.OP\n.END\n");
-  EXPECT_TRUE(deck.solverOption.empty());
-  EXPECT_THROW(
-      sp::parseDeck("opts\nR1 in 0 1k\n.OPTIONS SOLVER=magic\n.END\n"),
-      ahfic::ParseError);
+      "opts\nV1 in 0 1\nR1 in mid 1k\nR2 mid 0 1k\n"
+      ".OPTIONS SOLVER=dense RELTOL=1e-4\n.OP\n.END\n");
+  ASSERT_EQ(deck.analyses.size(), 1u);
+  sp::Analyzer an(deck.circuit);
+  const auto x = an.op();
+  sp::Solution s(&x);
+  EXPECT_NEAR(s.at(deck.circuit.findNode("mid")), 0.5, 1e-9);
 }

@@ -19,6 +19,8 @@
 #include "spice/sources.h"
 #include "util/numeric.h"
 
+#include "dense_oracle.h"
+
 namespace sp = ahfic::spice;
 namespace obs = ahfic::obs;
 namespace u = ahfic::util;
@@ -89,7 +91,7 @@ std::vector<T> randomRhs(int n, u::Rng& rng) {
   return b;
 }
 
-/// Diode-RC ladder shared by the dense-vs-sparse equivalence tests; the
+/// Diode-RC ladder shared by the engine-vs-dense-oracle tests; the
 /// diodes keep the system nonlinear so Newton actually iterates.
 void buildLadder(sp::Circuit& ckt, int stages) {
   const int in = ckt.node("in");
@@ -110,6 +112,29 @@ void buildLadder(sp::Circuit& ckt, int stages) {
     prev = n;
   }
 }
+
+/// Dense-backend transient of buildLadder(40), see
+/// SparseBackend.MatchesDenseAcrossAnalyses.
+constexpr size_t kDenseLadderPoints = 70;
+struct LadderPoint {
+  size_t point;
+  double t;
+  double v[3];  ///< V(n0), V(n20), V(n39)
+};
+constexpr LadderPoint kDenseLadderTran[] = {
+    {1, 1.0000000000000001e-11,
+     {0.63077372652822006, 0.45782725488886761, 0.43917292347914583}},
+    {10, 6.9813663743999972e-10,
+     {0.63089791306857856, 0.4578272532159523, 0.43917292115697049}},
+    {25, 6.9258889398849649e-08,
+     {0.64431133933714912, 0.45788038584687341, 0.43917289674139137}},
+    {40, 2.1925888939884975e-07,
+     {0.6573255599018486, 0.45842570382775222, 0.43924269612244715}},
+    {55, 3.6925888939884987e-07,
+     {0.65203274324505844, 0.45869492889882557, 0.43943691014352404}},
+    {69, 4.9999999999999998e-07,
+     {0.63086477831502841, 0.45850744369978752, 0.43955255213257932}},
+};
 
 }  // namespace
 
@@ -255,82 +280,61 @@ TEST(SparseLu, ThrowsWhenFactoredBeforeAnalyze) {
   EXPECT_THROW(lu.factor(std::vector<double>{1.0}), ahfic::Error);
 }
 
-TEST(SparseBackend, AutoSelectsByUnknownCount) {
-  {
-    sp::Circuit small;
-    buildLadder(small, 5);
-    sp::Analyzer an(small);
-    EXPECT_EQ(an.solverKind(), sp::SolverKind::kDense);
-  }
-  {
-    sp::Circuit big;
-    buildLadder(big, sp::kDenseBackendMaxUnknowns + 20);
-    sp::Analyzer an(big);
-    EXPECT_EQ(an.solverKind(), sp::SolverKind::kSparse);
-  }
-  {
-    // The legacy flag keeps its meaning for existing call sites.
-    sp::Circuit small;
-    buildLadder(small, 5);
-    sp::AnalysisOptions opts;
-    opts.useSparse = true;
-    sp::Analyzer an(small, opts);
-    EXPECT_EQ(an.solverKind(), sp::SolverKind::kSparseLegacy);
-  }
-  {
-    // An explicit choice beats both the heuristic and the legacy flag.
-    sp::Circuit small;
-    buildLadder(small, 5);
-    sp::AnalysisOptions opts;
-    opts.solver = sp::SolverKind::kSparse;
-    sp::Analyzer an(small, opts);
-    EXPECT_EQ(an.solverKind(), sp::SolverKind::kSparse);
-  }
-}
-
 TEST(SparseBackend, MatchesDenseAcrossAnalyses) {
-  sp::Circuit cd, cs;
-  buildLadder(cd, 40);
-  buildLadder(cs, 40);
-  sp::AnalysisOptions od, os;
-  od.solver = sp::SolverKind::kDense;
-  os.solver = sp::SolverKind::kSparse;
-  sp::Analyzer ad(cd, od), as(cs, os);
-  ASSERT_EQ(as.solverKind(), sp::SolverKind::kSparse);
+  // The dense-LU oracle (dense_oracle.h) re-solves the operating point,
+  // AC and noise with dense LU; the transient is checked against points
+  // recorded from the former dense production path.
+  sp::Circuit ckt;
+  buildLadder(ckt, 40);
+  sp::Analyzer an(ckt);
 
   // Operating point.
-  const auto xd = ad.op();
-  const auto xs = as.op();
-  ASSERT_EQ(xd.size(), xs.size());
-  for (size_t i = 0; i < xd.size(); ++i)
-    EXPECT_NEAR(xs[i], xd[i], 1e-9) << "op unknown " << i;
-  EXPECT_GT(as.stats().sparseRefactors, 0);
+  const auto x = an.op();
+  EXPECT_GT(an.stats().sparseRefactors, 0);
+  const auto xd = dense_oracle::op(ckt, an.unknownCount());
+  ASSERT_EQ(xd.size(), x.size());
+  for (size_t i = 0; i < x.size(); ++i)
+    EXPECT_NEAR(x[i], xd[i], 1e-9) << "op unknown " << i;
 
-  // Transient: both backends must accept the same points and agree.
-  const auto td = ad.transient(5e-7, 1e-8);
-  const auto ts = as.transient(5e-7, 1e-8);
-  ASSERT_EQ(td.time.size(), ts.time.size());
-  for (size_t k = 0; k < td.time.size(); ++k)
-    for (size_t i = 0; i < td.values[k].size(); ++i)
-      EXPECT_NEAR(ts.values[k][i], td.values[k][i], 1e-8)
-          << "tran point " << k << " unknown " << i;
+  // Transient: accepted time points and values of the dense backend at
+  // commit 2c8b85f, where this 56-unknown ladder ran dense by default.
+  // Recorded with a program linked against that commit's libahfic_spice:
+  //   sp::Circuit ckt; buildLadder(ckt, 40); sp::Analyzer an(ckt);
+  //   an.op(); auto tr = an.transient(5e-7, 1e-8);
+  //   printf("%zu", tr.time.size());  // then per point k:
+  //   printf("%.17g %.17g %.17g %.17g", tr.time[k],
+  //          V(n0), V(n20), V(n39));
+  const auto tr = an.transient(5e-7, 1e-8);
+  ASSERT_EQ(tr.time.size(), kDenseLadderPoints);
+  const int ids[] = {ckt.findNode("n0"), ckt.findNode("n20"),
+                     ckt.findNode("n39")};
+  for (const auto& ref : kDenseLadderTran) {
+    ASSERT_LT(ref.point, tr.time.size());
+    EXPECT_DOUBLE_EQ(tr.time[ref.point], ref.t) << "point " << ref.point;
+    for (int j = 0; j < 3; ++j)
+      EXPECT_NEAR(tr.values[ref.point][static_cast<size_t>(ids[j] - 1)],
+                  ref.v[j], 1e-8)
+          << "tran point " << ref.point << " unknown " << ids[j];
+  }
 
   // AC sweep (complex path).
   const auto freqs = sp::logspace(1e3, 1e9, 4);
-  const auto fd = ad.ac(freqs, xd);
-  const auto fs = as.ac(freqs, xs);
-  for (size_t k = 0; k < fd.values.size(); ++k)
-    for (size_t i = 0; i < fd.values[k].size(); ++i)
-      EXPECT_LT(std::abs(fs.values[k][i] - fd.values[k][i]), 1e-9)
+  const auto ac = an.ac(freqs, x);
+  ASSERT_EQ(ac.values.size(), freqs.size());
+  for (size_t k = 0; k < freqs.size(); ++k) {
+    const auto xa = dense_oracle::acSolve(ckt, x, freqs[k]);
+    for (size_t i = 0; i < xa.size(); ++i)
+      EXPECT_LT(std::abs(ac.values[k][i] - xa[i]), 1e-9)
           << "ac point " << k << " unknown " << i;
+  }
 
   // Noise (many solves per factorization).
-  const auto nd = ad.noise(freqs, "n1", xd);
-  const auto ns = as.noise(freqs, "n1", xs);
-  ASSERT_EQ(nd.outputPsd.size(), ns.outputPsd.size());
-  for (size_t k = 0; k < nd.outputPsd.size(); ++k) {
-    const double scale = std::max(1e-300, nd.outputPsd[k]);
-    EXPECT_LT(std::abs(ns.outputPsd[k] - nd.outputPsd[k]) / scale, 1e-9)
+  const int out = ckt.findNode("n1");
+  const auto nz = an.noise(freqs, "n1", x);
+  ASSERT_EQ(nz.outputPsd.size(), freqs.size());
+  for (size_t k = 0; k < freqs.size(); ++k) {
+    const double psd = dense_oracle::noisePsd(ckt, x, out, freqs[k]);
+    EXPECT_LT(std::abs(nz.outputPsd[k] - psd) / std::max(1e-300, psd), 1e-9)
         << "noise point " << k;
   }
 }
@@ -345,9 +349,7 @@ TEST(SparseBackend, NoPatternInsertsAfterPriming) {
 
   sp::Circuit ckt;
   buildLadder(ckt, 60);
-  sp::AnalysisOptions opts;
-  opts.solver = sp::SolverKind::kSparse;
-  sp::Analyzer an(ckt, opts);
+  sp::Analyzer an(ckt);
   const auto x = an.op();
   EXPECT_EQ(an.stats().sparsePatternInserts, 0);
   EXPECT_EQ(an.stats().sparseFullFactors, 1);
@@ -364,4 +366,34 @@ TEST(SparseBackend, NoPatternInsertsAfterPriming) {
   EXPECT_EQ(delta.counterValue("spice.sparse.pattern_inserts"), 0);
   EXPECT_GT(delta.counterValue("spice.sparse.refactors"), 0);
   EXPECT_GT(delta.counterValue("spice.sparse.full_factors"), 0);
+}
+
+TEST(SparseBackend, SmallCircuitTimesEverySolveLayer) {
+  // Every real solve goes through the CSR core whatever the circuit size,
+  // so even on a 5-stage ladder (well below a hundred unknowns) assemble,
+  // factor and solve each observe exactly one sample per matrix solve.
+  const bool wasEnabled = obs::metricsEnabled();
+  obs::setMetricsEnabled(true);
+  const auto before = obs::metrics().snapshot();
+
+  sp::Circuit ckt;
+  buildLadder(ckt, 5);
+  sp::Analyzer an(ckt);
+  an.op();
+  long solves = an.stats().matrixSolves;
+  EXPECT_EQ(an.stats().sparsePatternInserts, 0);
+  an.transient(2e-7, 1e-8);
+  solves += an.stats().matrixSolves;
+  EXPECT_EQ(an.stats().sparsePatternInserts, 0);
+
+  const auto delta = obs::metrics().snapshot().since(before);
+  obs::setMetricsEnabled(wasEnabled);
+  ASSERT_GT(solves, 0);
+  for (const char* name : {"spice.sparse.assemble_ns", "spice.sparse.factor_ns",
+                           "spice.sparse.solve_ns"}) {
+    const auto* h = delta.findHistogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->count, solves) << name;
+  }
+  EXPECT_EQ(delta.counterValue("spice.sparse.pattern_inserts"), 0);
 }
