@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -155,9 +156,10 @@ BENCHMARK(BM_Fft4096);
 // ---------------------------------------------------------------------------
 // Solver report (`--solver-json FILE`): the structure-caching SparseLU
 // against the dense-LU reference, at the kernel level (MNA-like random
-// systems) and the circuit level (diode-RC ladders through the full
-// Analyzer). Emits the "ahfic-bench-solver-v1" document consumed by the
-// CI solver-ablation smoke job and the perf-regress gates.
+// systems) and the circuit level (diode-RC ladders and the Table 1 ECL
+// ring through the full Analyzer). Emits the "ahfic-bench-solver-v1"
+// document consumed by the CI solver-ablation smoke job and the
+// perf-regress gates.
 
 double nowNs() {
   return static_cast<double>(
@@ -240,9 +242,9 @@ SolverKernelResult solverKernel(int n) {
   return r;
 }
 
-/// Circuit level: a diode-RC ladder run through the full Analyzer. Wall
-/// time covers assemble + factor + solve + device evaluation — what a
-/// user actually waits for.
+/// Circuit level: a bench circuit's transient run through the full
+/// Analyzer. Wall time covers assemble + factor + solve + device
+/// evaluation — what a user actually waits for.
 struct CircuitBackendResult {
   double wallNs = 0.0;
   long newtonIterations = 0;
@@ -277,9 +279,30 @@ void buildDiodeLadder(sp::Circuit& ckt, int stages) {
   }
 }
 
-CircuitBackendResult runCircuit(int stages, int* unknowns) {
+/// The paper's Fig. 11 ECL ring with the Table 1 winner (N1.2-12D) in
+/// the differential pairs and N1.2-6D followers: 20 Gummel-Poon BJTs.
+void buildTable1Ring(sp::Circuit& ckt) {
+  static const bg::ModelGenerator gen =
+      bg::ModelGenerator::withDefaultTechnology();
+  bg::RingOscillatorSpec spec;
+  spec.diffPairModel = gen.generate("N1.2-12D");
+  spec.followerModel = gen.generate("N1.2-6D");
+  bg::buildRingOscillator(ckt, spec);
+}
+
+/// A circuit-level row: how to build the circuit and the transient
+/// window it is timed over.
+struct BenchCircuit {
+  std::string name;
+  int stages = 0;
+  std::function<void(sp::Circuit&)> build;
+  double tstop = 0.0;
+  double maxStep = 0.0;
+};
+
+CircuitBackendResult runCircuit(const BenchCircuit& bc, int* unknowns) {
   sp::Circuit ckt;
-  buildDiodeLadder(ckt, stages);
+  bc.build(ckt);
   sp::Analyzer an(ckt);
   *unknowns = an.unknownCount();
 
@@ -291,7 +314,7 @@ CircuitBackendResult runCircuit(int stages, int* unknowns) {
     r.maxAbsDiffVsDense = std::max(r.maxAbsDiffVsDense, std::abs(x[i] - xd[i]));
 
   const double t0 = nowNs();
-  const auto tr = an.transient(5e-7, 1e-8);
+  const auto tr = an.transient(bc.tstop, bc.maxStep);
   r.wallNs = nowNs() - t0;
   benchmark::DoNotOptimize(tr);
   r.newtonIterations = an.stats().newtonIterations;
@@ -301,15 +324,15 @@ CircuitBackendResult runCircuit(int stages, int* unknowns) {
   return r;
 }
 
-/// Per-Newton device-evaluation cost of the ladder: one full device-list
+/// Per-Newton device-evaluation cost of the circuit: one full device-list
 /// load pass at the converged DC operating point, through a discarding
 /// stamper — the junction math, limiting checks and virtual dispatch the
 /// Newton loop pays every iteration before any matrix work. Reported
 /// separately because the engine's assemble timing folds this together
 /// with the value scatter and RHS assembly.
-double measureDeviceEvalNs(int stages) {
+double measureDeviceEvalNs(const BenchCircuit& bc) {
   sp::Circuit ckt;
-  buildDiodeLadder(ckt, stages);
+  bc.build(ckt);
   sp::Analyzer an(ckt);
   const std::vector<double> xOp = an.op();
   const sp::Solution x(&xOp);
@@ -381,15 +404,26 @@ int runSolverAblation(const std::string& outPath) {
   u::Table ct({"circuit", "unknowns", "wall [ms]", "iters", "ns/iter",
                "dev-eval [ns/iter]", "max |dV| vs dense"});
   u::JsonValue circuits = u::JsonValue::array();
-  for (int stages : {10, 60, 250}) {
+  std::vector<BenchCircuit> benchCircuits;
+  for (int stages : {10, 60, 250})
+    benchCircuits.push_back(
+        {"diode_rc_ladder_" + std::to_string(stages), stages,
+         [stages](sp::Circuit& ckt) { buildDiodeLadder(ckt, stages); }, 5e-7,
+         1e-8});
+  // Table 1's window and step cap: the repo's costliest workload, and the
+  // only row whose device time is Gummel-Poon evaluation.
+  benchCircuits.push_back(
+      {"ring_table1", bg::RingOscillatorSpec{}.stages, buildTable1Ring, 10e-9,
+       3e-12});
+  for (const BenchCircuit& bc : benchCircuits) {
     int unknowns = 0;
-    const auto sparse = runCircuit(stages, &unknowns);
+    const auto sparse = runCircuit(bc, &unknowns);
     // Solver-only comparison at this circuit's exact unknown count, so
     // the kernel-level ratio is attributable to the bench circuit.
     const auto solverOnly = solverKernel(unknowns);
-    const double deviceEvalNs = measureDeviceEvalNs(stages);
+    const double deviceEvalNs = measureDeviceEvalNs(bc);
 
-    const std::string name = "diode_rc_ladder_" + std::to_string(stages);
+    const std::string& name = bc.name;
     ct.addRow({name, std::to_string(unknowns),
                u::fixed(sparse.wallNs * 1e-6, 2),
                std::to_string(sparse.newtonIterations),
@@ -398,7 +432,7 @@ int runSolverAblation(const std::string& outPath) {
 
     u::JsonValue c = u::JsonValue::object();
     c.set("name", name);
-    c.set("stages", static_cast<double>(stages));
+    c.set("stages", static_cast<double>(bc.stages));
     c.set("unknowns", static_cast<double>(unknowns));
     c.set("deviceEvalNs", deviceEvalNs);
     // Keyed by backend so the gate paths (backends.sparse.*) stay stable.

@@ -111,10 +111,12 @@ void Analyzer::buildLayout() {
       dev->assignStateBase(nextState);
       nextState += dev->stateCount();
     }
-    if (dev->isNonlinear())
+    if (dev->isNonlinear()) {
       nonlinearDevs_.push_back(dev.get());
-    else
+    } else {
       linearDevs_.push_back(dev.get());
+      if (!dev->matrixOnly()) rhsDevs_.push_back(dev.get());
+    }
   }
   unknownCount_ = nextBranch - 1;  // ground excluded
   stateCount_ = nextState;
@@ -186,15 +188,15 @@ bool Analyzer::sparseIterate(const Solution& x, const LoadContext& ctx,
   double deviceNs = 0.0;
   for (;;) {
     // Static baseline (linear-device matrix stamps) lands via memcpy;
-    // linear devices then contribute only their candidate-dependent RHS
-    // (and record charge states), and nonlinear devices restamp in full
+    // linear devices with RHS or state work then contribute only that
+    // (matrix-only ones are done), and nonlinear devices restamp in full
     // through their slot memos.
     prepareSparseStatic(x, ctx);
     vals_ = staticVals_;
     rhs_.assign(static_cast<size_t>(unknownCount_), 0.0);
     const double tDevice = timed ? nowNs() : 0.0;
     RhsOnlyStamper rhsOnly(rhs_);
-    for (Device* dev : linearDevs_) dev->load(rhsOnly, x, ctx);
+    for (Device* dev : rhsDevs_) dev->load(rhsOnly, x, ctx);
     CsrStamper cs(pat_, vals_, rhs_, &pending_);
     for (Device* dev : nonlinearDevs_) dev->load(cs, x, ctx);
     if (timed) deviceNs += nowNs() - tDevice;
@@ -236,7 +238,10 @@ bool Analyzer::sparseIterate(const Solution& x, const LoadContext& ctx,
   return true;
 }
 
-void Analyzer::resetStats() {
+void Analyzer::beginCall() {
+  // Device values may have changed since the last call (e.g.
+  // Resistor::setResistance), so the linear baseline is rebuilt.
+  staticValid_ = false;
   stats_ = AnalyzerStats{};
   published_ = AnalyzerStats{};
   lastSingularUnknown_ = 0;
@@ -505,7 +510,7 @@ std::vector<double> Analyzer::opWithContext(LoadContext& ctx) {
 std::vector<double> Analyzer::op() {
   obs::ScopedSpan span("spice.op", "spice");
   span.annotate("request_id", opts_.traceId);
-  resetStats();
+  beginCall();
   analysisLabel_ = "op";
   // Open with a pivoting factorization, as a fresh Analyzer does, so a
   // reused Analyzer's op() reproduces a fresh one bit for bit.
@@ -548,7 +553,7 @@ DcSweepResult Analyzer::dcSweep(const std::string& sourceName, double start,
 
   obs::ScopedSpan span("spice.dc_sweep", "spice");
   span.annotate("request_id", opts_.traceId);
-  resetStats();
+  beginCall();
   analysisLabel_ = "dc_sweep";
   if (fx_) fx_->setContext("sweepSource", sourceName);
   LoadContext ctx;
@@ -648,7 +653,7 @@ AcResult Analyzer::acLinear(const std::vector<double>& frequencies,
   obs::ScopedSpan span("spice.ac", "spice");
   span.annotate("request_id", opts_.traceId);
   span.note("points", static_cast<double>(frequencies.size()));
-  if (freshWindow) resetStats();
+  if (freshWindow) beginCall();
   analysisLabel_ = "ac";
   AcResult result;
   const Solution sop(&opSolution);
@@ -688,7 +693,7 @@ NoiseResult Analyzer::noise(const std::vector<double>& frequencies,
   obs::ScopedSpan span("spice.noise", "spice");
   span.annotate("request_id", opts_.traceId);
   span.note("points", static_cast<double>(frequencies.size()));
-  resetStats();
+  beginCall();
   analysisLabel_ = "noise";
 
   Solution sop(&opSolution);

@@ -196,14 +196,15 @@ class Analyzer {
   };
 
   void buildLayout();
-  /// Starts a fresh per-call counter window (see AnalyzerStats) and
-  /// clears the forensics buffers.
-  void resetStats();
+  /// Opens a top-level call: a fresh per-call counter window (see
+  /// AnalyzerStats), cleared forensics buffers, and a static baseline
+  /// that will be rebuilt from the devices' current values.
+  void beginCall();
   /// Publishes the not-yet-published slice of stats_ to the global
   /// metrics registry as `spice.*` counters (no-op when metrics are
   /// disabled) and counts one `spice.analyses.<analysis>` invocation.
   /// Called on successful completion only: work from an analysis that
-  /// threw stays unpublished (the next resetStats discards it).
+  /// threw stays unpublished (the next beginCall discards it).
   void publishStats(const char* analysis);
   /// One Newton solve at fixed context; x is both input guess and output.
   NewtonOutcome newton(std::vector<double>& x, LoadContext& ctx);
@@ -273,9 +274,10 @@ class Analyzer {
   bool patternAcPrimed_ = false;
 
   // Device partition for the static/dynamic stamp split: linear devices
-  // have candidate-independent matrix stamps (static baseline + RHS-only
-  // pass per iteration); nonlinear devices restamp in full.
-  std::vector<Device*> linearDevs_, nonlinearDevs_;
+  // have candidate-independent matrix stamps (static baseline), and the
+  // ones among them with RHS or state work (rhsDevs_) get an RHS-only
+  // pass per iteration; nonlinear devices restamp in full.
+  std::vector<Device*> linearDevs_, rhsDevs_, nonlinearDevs_;
 
   // Charge/flux states.
   std::vector<double> state_, statePrev_, dstatePrev_;

@@ -82,6 +82,7 @@ void ReplicaBatch::resolveQuad(int a, int b, int* quad) const {
 }
 
 void ReplicaBatch::buildLayoutFor(Circuit& ckt, std::vector<Device*>& linear,
+                                  std::vector<Device*>& rhs,
                                   std::vector<Device*>& nonlinear,
                                   int& unknowns, int& states) const {
   // Mirrors Analyzer::buildLayout exactly: branch/state bases assigned in
@@ -97,10 +98,12 @@ void ReplicaBatch::buildLayoutFor(Circuit& ckt, std::vector<Device*>& linear,
       dev->assignStateBase(nextState);
       nextState += dev->stateCount();
     }
-    if (dev->isNonlinear())
+    if (dev->isNonlinear()) {
       nonlinear.push_back(dev.get());
-    else
+    } else {
       linear.push_back(dev.get());
+      if (!dev->matrixOnly()) rhs.push_back(dev.get());
+    }
   }
   unknowns = nextBranch - 1;
   states = nextState;
@@ -140,11 +143,12 @@ ReplicaBatch::ReplicaBatch(std::vector<std::unique_ptr<Circuit>> replicas,
 
   const size_t R = circuits_.size();
   linearDevs_.resize(R);
+  rhsDevs_.resize(R);
   nonlinearDevs_.resize(R);
   for (size_t r = 0; r < R; ++r) {
     int unknowns = 0, states = 0;
-    buildLayoutFor(*circuits_[r], linearDevs_[r], nonlinearDevs_[r],
-                   unknowns, states);
+    buildLayoutFor(*circuits_[r], linearDevs_[r], rhsDevs_[r],
+                   nonlinearDevs_[r], unknowns, states);
     if (r == 0) {
       unknownCount_ = unknowns;
       stateCount_ = states;
@@ -495,7 +499,7 @@ ReplicaBatch::OpResult ReplicaBatch::op() {
       std::fill(rhs_.begin(), rhs_.end(), 0.0);
       RhsOnlyStamper rhsOnly(rhs_);
       Solution sx(&x_[r]);
-      for (Device* dev : linearDevs_[r]) dev->load(rhsOnly, sx, ctx);
+      for (Device* dev : rhsDevs_[r]) dev->load(rhsOnly, sx, ctx);
 
       double* vals = vals_.data();
       double* rhs = rhs_.data();

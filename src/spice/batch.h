@@ -114,6 +114,7 @@ class ReplicaBatch {
   struct DiodePlan;
 
   void buildLayoutFor(Circuit& ckt, std::vector<Device*>& linear,
+                      std::vector<Device*>& rhs,
                       std::vector<Device*>& nonlinear, int& unknowns,
                       int& states) const;
   void primePatternFor(Circuit& ckt, CsrPattern& pat, int unknowns,
@@ -136,6 +137,7 @@ class ReplicaBatch {
   std::vector<std::unique_ptr<SparseLU<double>>> lu_;  // one per replica
   std::vector<std::vector<double>> staticVals_;        // [replica][slot]
   std::vector<std::vector<Device*>> linearDevs_;       // [replica][device]
+  std::vector<std::vector<Device*>> rhsDevs_;  // linear, not matrix-only
   std::vector<std::vector<Device*>> nonlinearDevs_;
 
   // Nonlinear device plans (SoA parameter tables + slot schedules).

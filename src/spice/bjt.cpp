@@ -34,6 +34,7 @@ Bjt::Bjt(std::string name, Circuit& ckt, int c, int b, int e,
   // replica engine.
   const DerivedGummelPoon d = deriveGummelPoon(model_, area_, tempC);
   m_ = d.m;
+  dep_ = gummelDepletion(m_);
   vt_ = d.vt;
   vcritE_ = d.vcritE;
   vcritC_ = d.vcritC;

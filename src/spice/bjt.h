@@ -86,11 +86,12 @@ class Bjt final : public Device {
     return gummelEvaluate(m_, vt_, vbe, vbc, gmin);
   }
   Charges charges(double vbe, double vbc, double vcs, const Eval& e) const {
-    return gummelCharges(m_, vbe, vbc, vcs, e);
+    return gummelCharges(m_, dep_, vbe, vbc, vcs, e);
   }
 
   BjtModel model_;  ///< as given
   BjtModel m_;      ///< area-scaled copy used in evaluation
+  GummelPoonDepletion dep_;  ///< bias-independent depletion constants
   double area_;
   double pol_;      ///< +1 NPN, -1 PNP
   double vt_;

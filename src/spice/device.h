@@ -140,6 +140,12 @@ class Device {
   /// junction voltage remembered across iterations).
   virtual bool isNonlinear() const { return false; }
 
+  /// True for a linear device whose load() writes matrix entries only —
+  /// no RHS, no charge state — independent of the candidate solution,
+  /// time and LoadContext. The engine stamps such a device once into its
+  /// cached linear baseline and skips it in the per-iteration RHS pass.
+  virtual bool matrixOnly() const { return false; }
+
   /// Called once before each Newton solve (OP attempt or transient step) so
   /// devices can seed their limiting history from the starting point `x`.
   virtual void beginSolve(const Solution& x) { (void)x; }

@@ -21,6 +21,7 @@ Diode::Diode(std::string name, Circuit& ckt, int anode, int cathode,
   model_ = d.m;
   vte_ = d.vte;
   vcrit_ = d.vcrit;
+  dep_ = depletionConsts(model_.cj0 * area_, model_.vj, model_.m, model_.fc);
   if (model_.rs > 0.0) aInt_ = ckt.internalNode(this->name() + "#a");
 }
 
@@ -54,8 +55,7 @@ void Diode::load(Stamper& s, const Solution& x, const LoadContext& ctx) {
   w.addNonlinearBranch(aInt_, c, gd, id - gd * v);
 
   // Charge: depletion + diffusion (tt * id).
-  const auto dep = depletionQC(v, model_.cj0 * area_, model_.vj, model_.m,
-                               model_.fc);
+  const auto dep = depletionQC(v, dep_);
   const double q = dep.q + model_.tt * iv.i;
   const double cap = dep.c + model_.tt * iv.g;
   const double dqdt = ctx.integrate(stateBase(), q);
@@ -83,8 +83,7 @@ void Diode::loadAc(AcStamper& s, const Solution& op, double omega) {
     w.addAdmittance(a, aInt_, {area_ / model_.rs, 0.0});
   const double v = op.diff(aInt_, c);
   const auto iv = junctionIV(v, model_.is * area_, vte_);
-  const auto dep =
-      depletionQC(v, model_.cj0 * area_, model_.vj, model_.m, model_.fc);
+  const auto dep = depletionQC(v, dep_);
   const double cap = dep.c + model_.tt * iv.g;
   w.addAdmittance(aInt_, c, {iv.g, omega * cap});
 }

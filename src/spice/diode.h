@@ -2,6 +2,7 @@
 // Junction diode (SPICE D element).
 
 #include "spice/device.h"
+#include "spice/junction.h"
 #include "spice/models.h"
 
 namespace ahfic::spice {
@@ -44,6 +45,7 @@ class Diode final : public Device {
   double area_;
   double vte_;    ///< n * Vt
   double vcrit_;
+  DepletionConsts dep_;  ///< bias-independent depletion constants
   int aInt_;      ///< internal anode (== anode when rs == 0)
   double vLimited_ = 0.0;  ///< limiting history across Newton iterations
 };

@@ -218,16 +218,34 @@ inline GummelPoonEval gummelEvaluate(const BjtModel& m, double vt,
   return gummelEvaluate(gummelParams(m, vt), vbe, vbc, gmin);
 }
 
+/// Bias-independent depletion constants of the four junction charges,
+/// derived once per instance from the effective card.
+struct GummelPoonDepletion {
+  DepletionConsts be;         ///< cje
+  DepletionConsts bcInt;      ///< cjc * xcjc, at the internal base
+  DepletionConsts bcExt;      ///< cjc * (1 - xcjc), at the external base
+  DepletionConsts cs;         ///< cjs (fc = 0)
+};
+
+inline GummelPoonDepletion gummelDepletion(const BjtModel& m) {
+  return {depletionConsts(m.cje, m.vje, m.mje, m.fc),
+          depletionConsts(m.cjc * m.xcjc, m.vjc, m.mjc, m.fc),
+          depletionConsts(m.cjc * (1.0 - m.xcjc), m.vjc, m.mjc, m.fc),
+          depletionConsts(m.cjs, m.vjs, m.mjs, 0.0)};
+}
+
 /// Charges and capacitances at given junction voltages (needs the
-/// matching gummelEvaluate result for the diffusion terms).
-inline GummelPoonCharges gummelCharges(const BjtModel& m, double vbe,
-                                       double vbc, double vcs,
+/// matching gummelEvaluate result for the diffusion terms). `k` must be
+/// gummelDepletion() of the same card `m`.
+inline GummelPoonCharges gummelCharges(const BjtModel& m,
+                                       const GummelPoonDepletion& k,
+                                       double vbe, double vbc, double vcs,
                                        const GummelPoonEval& e) {
   GummelPoonCharges c{};
 
   // B-E: depletion + forward diffusion with XTF/VTF/ITF bias dependence.
   {
-    const auto dep = depletionQC(vbe, m.cje, m.vje, m.mje, m.fc);
+    const auto dep = depletionQC(vbe, k.be);
     double qde = 0.0, cde = 0.0;
     if (m.tf > 0.0) {
       double argtf = 0.0, arg2 = 0.0;
@@ -256,19 +274,17 @@ inline GummelPoonCharges gummelCharges(const BjtModel& m, double vbe,
   // B-C: XCJC fraction at the internal base, remainder at the external
   // base; reverse diffusion charge TR * ibc1 on the internal part.
   {
-    const auto depInt = depletionQC(vbc, m.cjc * m.xcjc, m.vjc, m.mjc,
-                                    m.fc);
+    DepletionQC depInt, depExt;
+    depletionQCPair(vbc, k.bcInt, k.bcExt, depInt, depExt);
     c.qbc = depInt.q + m.tr * e.ibc1;
     c.cbc = depInt.c + m.tr * e.gbc1;
-    const auto depExt = depletionQC(vbc, m.cjc * (1.0 - m.xcjc), m.vjc,
-                                    m.mjc, m.fc);
     c.qbx = depExt.q;
     c.cbx = depExt.c;
   }
 
   // Collector-substrate depletion (normally reverse biased).
   {
-    const auto dep = depletionQC(vcs, m.cjs, m.vjs, m.mjs, 0.0);
+    const auto dep = depletionQC(vcs, k.cs);
     c.qcs = dep.q;
     c.ccs = dep.c;
   }

@@ -65,24 +65,90 @@ struct DepletionQC {
   double c;
 };
 
+/// The bias-independent part of one junction's depletionQC(): the card
+/// values plus every product that does not involve v, computed once per
+/// device instance. An evaluation then pays at most the pow() pair of
+/// the graded branch and nothing above fc*vj.
+struct DepletionConsts {
+  double cj0, vj, m;
+  double vf;                   ///< fc * vj, the linearisation point
+  double qk;                   ///< cj0 * vj / (1 - m)
+  double f1, f2, f3;           ///< linear-continuation coefficients
+  double cjf2;                 ///< cj0 * f2
+  double halfMOverVj, vfSq;    ///< 0.5 * m / vj, vf * vf
+};
+
+inline DepletionConsts depletionConsts(double cj0, double vj, double m,
+                                       double fc) {
+  DepletionConsts k;
+  k.cj0 = cj0;
+  k.vj = vj;
+  k.m = m;
+  k.vf = fc * vj;
+  k.qk = cj0 * vj / (1.0 - m);
+  // Linear continuation: c(v) = cj0/(1-fc)^(1+m) * (1 - fc(1+m) + m v/vj)
+  k.f1 = vj / (1.0 - m) * (1.0 - std::pow(1.0 - fc, 1.0 - m));
+  k.f2 = std::pow(1.0 - fc, -(1.0 + m));
+  k.f3 = 1.0 - fc * (1.0 + m);
+  k.cjf2 = cj0 * k.f2;
+  k.halfMOverVj = 0.5 * m / vj;
+  k.vfSq = k.vf * k.vf;
+  return k;
+}
+
+namespace detail {
+
+/// depletionQC() below fc*vj, given the shared powers (1 - v/vj)^-m and
+/// (1 - v/vj)^(1-m).
+inline DepletionQC depletionGraded(const DepletionConsts& k, double pm,
+                                   double p1m) {
+  if (k.cj0 <= 0.0) return {0.0, 0.0};
+  return {k.qk * (1.0 - p1m), k.cj0 * pm};
+}
+
+/// depletionQC() at or above fc*vj.
+inline DepletionQC depletionLinear(const DepletionConsts& k, double v) {
+  if (k.cj0 <= 0.0) return {0.0, 0.0};
+  const double c = k.cjf2 * (k.f3 + k.m * v / k.vj);
+  const double q =
+      k.cj0 * (k.f1 + k.f2 * (k.f3 * (v - k.vf) +
+                              k.halfMOverVj * (v * v - k.vfSq)));
+  return {q, c};
+}
+
+}  // namespace detail
+
+inline DepletionQC depletionQC(double v, const DepletionConsts& k) {
+  if (k.cj0 <= 0.0) return {0.0, 0.0};
+  if (v < k.vf) {
+    const double a = 1.0 - v / k.vj;
+    return detail::depletionGraded(k, std::pow(a, -k.m),
+                                   std::pow(a, 1.0 - k.m));
+  }
+  return detail::depletionLinear(k, v);
+}
+
+/// Two junctions that share vj, m and fc and differ only in cj0 (the
+/// B-C XCJC split): one pow() pair serves both.
+inline void depletionQCPair(double v, const DepletionConsts& ka,
+                            const DepletionConsts& kb, DepletionQC& a,
+                            DepletionQC& b) {
+  if (v < ka.vf) {
+    const double t = 1.0 - v / ka.vj;
+    const double pm = std::pow(t, -ka.m);
+    const double p1m = std::pow(t, 1.0 - ka.m);
+    a = detail::depletionGraded(ka, pm, p1m);
+    b = detail::depletionGraded(kb, pm, p1m);
+    return;
+  }
+  a = detail::depletionLinear(ka, v);
+  b = detail::depletionLinear(kb, v);
+}
+
+/// One-shot form for callers without a per-instance DepletionConsts.
 inline DepletionQC depletionQC(double v, double cj0, double vj, double m,
                                double fc) {
-  if (cj0 <= 0.0) return {0.0, 0.0};
-  const double vf = fc * vj;
-  if (v < vf) {
-    const double a = 1.0 - v / vj;
-    const double c = cj0 * std::pow(a, -m);
-    const double q = cj0 * vj / (1.0 - m) * (1.0 - std::pow(a, 1.0 - m));
-    return {q, c};
-  }
-  // Linear continuation: c(v) = cj0/(1-fc)^(1+m) * (1 - fc(1+m) + m v/vj)
-  const double f1 = vj / (1.0 - m) * (1.0 - std::pow(1.0 - fc, 1.0 - m));
-  const double f2 = std::pow(1.0 - fc, -(1.0 + m));
-  const double f3 = 1.0 - fc * (1.0 + m);
-  const double c = cj0 * f2 * (f3 + m * v / vj);
-  const double q =
-      cj0 * (f1 + f2 * (f3 * (v - vf) + 0.5 * m / vj * (v * v - vf * vf)));
-  return {q, c};
+  return depletionQC(v, depletionConsts(cj0, vj, m, fc));
 }
 
 }  // namespace ahfic::spice

@@ -14,6 +14,7 @@ class Resistor final : public Device {
   double resistance() const { return ohms_; }
   void setResistance(double ohms);
 
+  bool matrixOnly() const override { return true; }
   void load(Stamper& s, const Solution& x, const LoadContext& ctx) override;
   void loadAc(AcStamper& s, const Solution& op, double omega) override;
   void appendNoise(std::vector<NoiseSourceDesc>& out, const Solution& op,

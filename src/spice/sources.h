@@ -161,6 +161,7 @@ class Vcvs final : public Device {
  public:
   Vcvs(std::string name, int p, int n, int cp, int cn, double gain);
   int branchCount() const override { return 1; }
+  bool matrixOnly() const override { return true; }
   void load(Stamper& s, const Solution& x, const LoadContext& ctx) override;
   void loadAc(AcStamper& s, const Solution& op, double omega) override;
 
@@ -172,6 +173,7 @@ class Vcvs final : public Device {
 class Vccs final : public Device {
  public:
   Vccs(std::string name, int p, int n, int cp, int cn, double gm);
+  bool matrixOnly() const override { return true; }
   void load(Stamper& s, const Solution& x, const LoadContext& ctx) override;
   void loadAc(AcStamper& s, const Solution& op, double omega) override;
 
@@ -183,6 +185,7 @@ class Vccs final : public Device {
 class Cccs final : public Device {
  public:
   Cccs(std::string name, int p, int n, const VSource& ctrl, double gain);
+  bool matrixOnly() const override { return true; }
   void load(Stamper& s, const Solution& x, const LoadContext& ctx) override;
   void loadAc(AcStamper& s, const Solution& op, double omega) override;
 
@@ -196,6 +199,7 @@ class Ccvs final : public Device {
  public:
   Ccvs(std::string name, int p, int n, const VSource& ctrl, double r);
   int branchCount() const override { return 1; }
+  bool matrixOnly() const override { return true; }
   void load(Stamper& s, const Solution& x, const LoadContext& ctx) override;
   void loadAc(AcStamper& s, const Solution& op, double omega) override;
 

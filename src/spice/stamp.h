@@ -8,16 +8,17 @@
 // serve only as the reference the tests solve with solveDense.
 //
 // The CSR target adds a slot protocol on top: a stamper bound to a
-// CsrPattern exposes patternEpoch()/locateA()/addAt(), and devices wrap
+// CsrPattern exposes patternEpoch()/locateA() plus the value and RHS
+// arrays behind them (slotValues()/rhsValues()), and devices wrap
 // whatever stamper they are handed in a SlotWriter that memoizes the
 // slot of every matrix position they touch (see StampMemo). After the
 // first assemble against a pattern revision, re-stamping is a straight
-// replay of cached value-array indices — no binary search, no map
-// insertions. The memo self-heals: every replayed entry is verified
-// against the (row, col) key actually being stamped, so call sequences
-// that differ between analysis modes (DC stamps fewer companion
-// entries than transient) just rewrite the memo from the point of
-// divergence instead of corrupting it.
+// replay of cached value-array indices written in place — no binary
+// search, no map insertions, no virtual call. The memo self-heals: every
+// replayed entry is verified against the (row, col) key actually being
+// stamped, so call sequences that differ between analysis modes (DC
+// stamps fewer companion entries than transient) just rewrite the memo
+// from the point of divergence instead of corrupting it.
 
 #include <complex>
 #include <cstdint>
@@ -61,11 +62,11 @@ class Stamper {
     (void)idCol;
     return kStampSlotMiss;
   }
-  /// Accumulates `v` directly at a slot returned by locateA().
-  virtual void addAt(int slot, double v) {
-    (void)slot;
-    (void)v;
-  }
+  /// The arrays locateA()'s slots and the row ids index: the
+  /// slot-ordered matrix values and the 0-based RHS. Null when the
+  /// backend has none; a SlotWriter then forwards to addA()/addRhs().
+  virtual double* slotValues() { return nullptr; }
+  virtual double* rhsValues() { return nullptr; }
 
   /// Conductance `g` between unknowns `a` and `b` (two-terminal element).
   void addConductance(int a, int b, double g) {
@@ -112,10 +113,8 @@ class AcStamper {
     (void)idCol;
     return kStampSlotMiss;
   }
-  virtual void addAt(int slot, std::complex<double> v) {
-    (void)slot;
-    (void)v;
-  }
+  virtual std::complex<double>* slotValues() { return nullptr; }
+  virtual std::complex<double>* rhsValues() { return nullptr; }
 
   void addAdmittance(int a, int b, std::complex<double> y) {
     addA(a, a, y);
@@ -200,9 +199,8 @@ class CsrStamperT final : public Base {
     const int slot = pat_.slot(r - 1, c - 1);
     return slot < 0 ? kStampSlotMiss : slot;
   }
-  void addAt(int slot, V v) override {
-    vals_[static_cast<size_t>(slot)] += v;
-  }
+  V* slotValues() override { return vals_.data(); }
+  V* rhsValues() override { return rhs_.data(); }
 
  private:
   const CsrPattern& pat_;
@@ -216,36 +214,36 @@ using CsrAcStamper = CsrStamperT<AcStamper, std::complex<double>>;
 
 /// Device-side memoizing front end over any stamper. Constructed at the
 /// top of a device's load()/loadAc() around the stamper it was handed;
-/// when the backend exposes a pattern epoch, every addA resolves through
-/// the device's StampMemo (fast replay of cached slots, key-verified so
-/// a diverging call sequence heals itself); otherwise calls forward
+/// when the backend exposes a pattern epoch and its value array, every
+/// addA resolves through the device's StampMemo (fast replay of cached
+/// slots, key-verified so a diverging call sequence heals itself) and
+/// lands as a direct write into that array; RHS writes go straight into
+/// the backend's RHS array when it has one. Otherwise calls forward
 /// untouched. Mirrors the convenience helpers of Stamper/AcStamper so
 /// device bodies read the same as before.
 template <typename S, typename V>
 class SlotWriterT {
  public:
-  SlotWriterT(S& s, StampMemo& memo) : s_(s), memo_(memo) {
+  SlotWriterT(S& s, StampMemo& memo)
+      : s_(s), memo_(memo), rhs_(s.rhsValues()) {
     const std::uint64_t e = s.patternEpoch();
-    fast_ = e != 0;
-    if (fast_ && memo_.epoch != e) {
+    if (e == 0) return;
+    vals_ = s.slotValues();
+    if (vals_ != nullptr && memo_.epoch != e) {
       memo_.entries.clear();
       memo_.epoch = e;
     }
   }
 
   void addA(int r, int c, V v) {
-    if (!fast_) {
+    if (vals_ == nullptr) {
       s_.addA(r, c, v);
       return;
     }
     const std::uint64_t key = packKey(r, c);
     if (cursor_ < memo_.entries.size() &&
         memo_.entries[cursor_].first == key) {
-      const int slot = memo_.entries[cursor_++].second;
-      if (slot >= 0)
-        s_.addAt(slot, v);
-      else if (slot == kStampSlotMiss)
-        s_.addA(r, c, v);  // keeps feeding `pending` until the pattern grows
+      write(r, c, memo_.entries[cursor_++].second, v);
       return;
     }
     // First pass over this position, or the call sequence diverged from
@@ -256,12 +254,14 @@ class SlotWriterT {
     else
       memo_.entries.emplace_back(key, slot);
     ++cursor_;
-    if (slot >= 0)
-      s_.addAt(slot, v);
-    else if (slot == kStampSlotMiss)
-      s_.addA(r, c, v);
+    write(r, c, slot, v);
   }
-  void addRhs(int r, V v) { s_.addRhs(r, v); }
+  void addRhs(int r, V v) {
+    if (rhs_ == nullptr)
+      s_.addRhs(r, v);
+    else if (r > 0)
+      rhs_[r - 1] += v;
+  }
 
   // Stamper-style helpers (real path).
   void addConductance(int a, int b, V g) {
@@ -295,10 +295,18 @@ class SlotWriterT {
            static_cast<std::uint32_t>(c);
   }
 
+  void write(int r, int c, int slot, V v) {
+    if (slot >= 0)
+      vals_[slot] += v;
+    else if (slot == kStampSlotMiss)
+      s_.addA(r, c, v);  // keeps feeding `pending` until the pattern grows
+  }
+
   S& s_;
   StampMemo& memo_;
+  V* rhs_;
+  V* vals_ = nullptr;  ///< non-null: memoized direct writes
   size_t cursor_ = 0;
-  bool fast_ = false;
 };
 
 using SlotWriter = SlotWriterT<Stamper, double>;

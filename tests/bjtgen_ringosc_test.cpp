@@ -111,3 +111,18 @@ TEST(RingOscillator, ThreeStageVariantAlsoOscillates) {
   const auto five = bg::measureRingFrequency(defaultSpec(), 8.0, 3.0);
   EXPECT_GT(m.frequency, five.frequency);
 }
+
+TEST(RingOscillator, Table1TransientIsBitExact) {
+  // Pins the Newton hot path: the N1.2-12D ring over the Table 1 window
+  // (10 ns, 3 ps step cap) must reproduce this frequency to the last bit
+  // and take exactly this many Newton iterations. Any change to device
+  // arithmetic, stamp order or solver replay moves one of them. Recorded
+  // by building this spec and printing
+  //   std::printf("%a %ld\n", m.frequency, stats.newtonIterations);
+  // after bg::measureRingFrequency(spec, 10.0, 3.0, {}, &stats).
+  sp::AnalyzerStats stats;
+  const auto m = bg::measureRingFrequency(defaultSpec(), 10.0, 3.0, {}, &stats);
+  ASSERT_TRUE(m.oscillating);
+  EXPECT_EQ(m.frequency, 0x1.b4a99ba90bcf3p+30);  // 1.8314954022615325 GHz
+  EXPECT_EQ(stats.newtonIterations, 7677);
+}

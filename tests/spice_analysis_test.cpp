@@ -289,6 +289,22 @@ TEST(AnalysisOp, WarmRestartViaSweepIsConsistent) {
     EXPECT_NEAR(up.voltage(k, out), down.voltage(n - 1 - k, out), 2e-3);
 }
 
+TEST(AnalysisOp, ReusedAnalyzerSeesResistanceChange) {
+  // The linear baseline is cached across Newton iterations; a device
+  // value changed between calls must still reach the next solve.
+  sp::Circuit ckt;
+  const int in = ckt.node("in"), mid = ckt.node("mid");
+  ckt.add<sp::VSource>("V1", in, 0, 1.0);
+  ckt.add<sp::Resistor>("R1", in, mid, 1e3);
+  auto& r2 = ckt.add<sp::Resistor>("R2", mid, 0, 1e3);
+  sp::Analyzer an(ckt);
+  EXPECT_DOUBLE_EQ(an.op()[static_cast<size_t>(mid - 1)], 0.5);
+  r2.setResistance(3e3);
+  EXPECT_DOUBLE_EQ(an.op()[static_cast<size_t>(mid - 1)], 0.75);
+  const auto sweep = an.dcSweep("V1", 2.0, 2.0, 1.0);
+  EXPECT_DOUBLE_EQ(sweep.voltage(0, mid), 1.5);
+}
+
 TEST(AnalysisOp, ReusedAnalyzerMatchesFreshBitForBit) {
   // op() restarts with a pivoting factorization, so re-solving one
   // Analyzer at a new source value equals a fresh Analyzer exactly, not

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -11,12 +14,14 @@
 
 #include "obs/metrics.h"
 #include "spice/analysis.h"
+#include "spice/bjt.h"
 #include "spice/circuit.h"
 #include "spice/csr.h"
 #include "spice/diode.h"
 #include "spice/linalg.h"
 #include "spice/passive.h"
 #include "spice/sources.h"
+#include "spice/stamp.h"
 #include "util/numeric.h"
 
 #include "dense_oracle.h"
@@ -396,4 +401,161 @@ TEST(SparseBackend, SmallCircuitTimesEverySolveLayer) {
     EXPECT_EQ(h->count, solves) << name;
   }
   EXPECT_EQ(delta.counterValue("spice.sparse.pattern_inserts"), 0);
+}
+
+namespace {
+
+/// CSR target that exposes the same pattern and slots as CsrStamper but
+/// no value/RHS arrays, so every SlotWriter write is a virtual
+/// addA()/addRhs() call resolved through the pattern.
+class VirtualCsrStamper final : public sp::Stamper {
+ public:
+  VirtualCsrStamper(const sp::CsrPattern& pat, std::vector<double>& vals,
+                    std::vector<double>& rhs)
+      : pat_(pat), vals_(vals), rhs_(rhs) {}
+  void addA(int r, int c, double v) override {
+    if (r <= 0 || c <= 0) return;
+    const int slot = pat_.slot(r - 1, c - 1);
+    ASSERT_GE(slot, 0);
+    vals_[static_cast<size_t>(slot)] += v;
+  }
+  void addRhs(int r, double v) override {
+    if (r > 0) rhs_[static_cast<size_t>(r - 1)] += v;
+  }
+  std::uint64_t patternEpoch() const override { return pat_.epoch(); }
+  int locateA(int r, int c) override {
+    if (r <= 0 || c <= 0) return sp::kStampSlotGround;
+    const int slot = pat_.slot(r - 1, c - 1);
+    return slot < 0 ? sp::kStampSlotMiss : slot;
+  }
+
+ private:
+  const sp::CsrPattern& pat_;
+  std::vector<double>& vals_;
+  std::vector<double>& rhs_;
+};
+
+/// A Bjt (all parasitics and charges active) plus a Capacitor, stamped
+/// at a forward-active candidate under a transient context.
+struct StampFixture {
+  sp::Circuit ckt;
+  std::vector<double> x, st, stPrev, dstPrev;
+  sp::LoadContext ctx;
+  int unknowns = 0;
+
+  StampFixture() {
+    const int c = ckt.node("c"), b = ckt.node("b"), e = ckt.node("e"),
+              s = ckt.node("s");
+    sp::BjtModel m;
+    m.rb = 50.0;
+    m.re = 2.0;
+    m.rc = 20.0;
+    m.cje = 50e-15;
+    m.cjc = 20e-15;
+    m.xcjc = 0.5;
+    m.cjs = 40e-15;
+    m.tf = 10e-12;
+    m.tr = 1e-9;
+    auto& q = ckt.add<sp::Bjt>("Q1", ckt, c, b, e, m, 1.0, s);
+    auto& cap = ckt.add<sp::Capacitor>("C1", c, b, 1e-13);
+    q.assignStateBase(0);
+    cap.assignStateBase(q.stateCount());
+    unknowns = ckt.nodeCount() - 1;
+    x.assign(static_cast<size_t>(unknowns), 0.0);
+    for (int k = 0; k < unknowns; ++k)
+      x[static_cast<size_t>(k)] = 0.05 * k;
+    x[static_cast<size_t>(c - 1)] = 2.0;
+    x[static_cast<size_t>(q.internalCollector() - 1)] = 1.98;
+    x[static_cast<size_t>(b - 1)] = 0.9;
+    x[static_cast<size_t>(q.internalBase() - 1)] = 0.88;
+    x[static_cast<size_t>(e - 1)] = 0.01;
+    x[static_cast<size_t>(q.internalEmitter() - 1)] = 0.02;
+    x[static_cast<size_t>(s - 1)] = -1.0;
+    const auto nStates = static_cast<size_t>(q.stateCount() + 1);
+    st.assign(nStates, 0.0);
+    stPrev.assign(nStates, 1e-15);
+    dstPrev.assign(nStates, 1e-6);
+    ctx.mode = sp::AnalysisMode::kTransient;
+    ctx.c0 = 2e11;
+    ctx.trapFactor = 0.85;
+    ctx.state = &st;
+    ctx.prevState = &stPrev;
+    ctx.prevDstate = &dstPrev;
+  }
+
+  /// Every position any load can touch (DC and transient), optionally
+  /// without the devices named in `skip`.
+  sp::CsrPattern pattern(const std::string& skip = "") {
+    std::vector<std::pair<int, int>> entries;
+    sp::PatternStamper ps(entries);
+    const sp::Solution sx(&x);
+    for (const auto& dev : ckt.devices())
+      if (dev->name() != skip) dev->load(ps, sx, ctx);
+    sp::CsrPattern pat;
+    pat.build(unknowns, std::move(entries));
+    return pat;
+  }
+
+  /// One load pass; beginSolve first so junction limiting never fires
+  /// and every pass evaluates at the same point.
+  void load(sp::Stamper& s) {
+    const sp::Solution sx(&x);
+    for (const auto& dev : ckt.devices()) {
+      dev->beginSolve(sx);
+      dev->load(s, sx, ctx);
+    }
+  }
+};
+
+bool sameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+}  // namespace
+
+TEST(StampPath, DirectSlotWritesMatchVirtualStamper) {
+  StampFixture f;
+  const sp::CsrPattern pat = f.pattern();
+  const auto n = static_cast<size_t>(f.unknowns);
+
+  // Reference: every write a virtual call resolved through the pattern.
+  std::vector<double> valsRef(pat.nonzeros(), 0.0), rhsRef(n, 0.0);
+  VirtualCsrStamper vs(pat, valsRef, rhsRef);
+  f.load(vs);
+
+  // Direct writes: the first pass resolves slots into the memos, the
+  // second replays them; both must equal the reference bit for bit.
+  for (const char* pass : {"resolve", "replay"}) {
+    std::vector<double> vals(pat.nonzeros(), 0.0), rhs(n, 0.0);
+    std::vector<std::pair<int, int>> pending;
+    sp::CsrStamper cs(pat, vals, rhs, &pending);
+    f.load(cs);
+    EXPECT_TRUE(pending.empty()) << pass;
+    EXPECT_TRUE(sameBits(vals, valsRef)) << pass;
+    EXPECT_TRUE(sameBits(rhs, rhsRef)) << pass;
+  }
+}
+
+TEST(StampPath, PatternMissStillReachesPending) {
+  // A pattern that lacks the capacitor's positions: on the resolving
+  // pass and on the memo replay alike, the capacitor's matrix writes must
+  // land in `pending` rather than vanish, while its RHS still lands.
+  StampFixture f;
+  const sp::CsrPattern pat = f.pattern("C1");
+  const int c = f.ckt.findNode("c"), b = f.ckt.findNode("b");
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<double> vals(pat.nonzeros(), 0.0);
+    std::vector<double> rhs(static_cast<size_t>(f.unknowns), 0.0);
+    std::vector<std::pair<int, int>> pending;
+    sp::CsrStamper cs(pat, vals, rhs, &pending);
+    f.load(cs);
+    const std::vector<std::pair<int, int>> want = {
+        {c - 1, b - 1}, {b - 1, c - 1}};
+    for (const auto& rc : want)
+      EXPECT_NE(std::find(pending.begin(), pending.end(), rc), pending.end())
+          << "pass " << pass << " (" << rc.first << "," << rc.second << ")";
+    for (const auto& [r, col] : pending)
+      EXPECT_LT(pat.slot(r, col), 0) << "pass " << pass;
+  }
 }
