@@ -3,7 +3,7 @@
 // analysis per bisection evaluation) against spice::ReplicaBatch via
 // BatchFtExtractor, with each speedup step measured on its own:
 //
-//   1. shared structure + SoA device evaluation (batched, but every
+//   1. shared structure + batched device evaluation (but every
 //      Newton iteration pays a pivoting full factorization),
 //   2. batched refactorization replay on top of (1),
 //   3. binary "ahfic-wave-v1" payload vs the equivalent JSON document.
@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
       batchedFf.wallMs > 0.0 ? scalar.wallMs / batchedFf.wallMs : 0.0;
   const double replaySpeedup =
       batched.wallMs > 0.0 ? batchedFf.wallMs / batched.wallMs : 0.0;
-  os << "ablation: shared structure + SoA eval   "
+  os << "ablation: shared structure + batch eval "
      << u::fixed(soaSpeedup, 2) << "x\n"
      << "          refactorization replay         "
      << u::fixed(replaySpeedup, 2) << "x (on top)\n\n";

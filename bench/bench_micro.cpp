@@ -28,7 +28,6 @@
 #include "spice/circuit.h"
 #include "spice/csr.h"
 #include "spice/diode.h"
-#include "spice/linalg.h"
 #include "spice/passive.h"
 #include "spice/sources.h"
 #include "spice/solution.h"

@@ -6,6 +6,7 @@
 #include <execinfo.h>
 #include <signal.h>
 #include <time.h>
+#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -52,8 +53,6 @@ thread_local char tProfName[kThreadNameMax] = {0};
 thread_local SampleRing* tRing = nullptr;
 thread_local unsigned tRingSession = 0;
 
-void profSignalHandler(int, siginfo_t*, void*);
-
 /// Claims a free ring for the calling thread. Async-signal-safe: a scan
 /// plus one CAS per candidate, and a fixed-size name copy.
 SampleRing* claimRing(unsigned session) {
@@ -76,7 +75,38 @@ SampleRing* claimRing(unsigned session) {
   return nullptr;
 }
 
-void profSignalHandler(int, siginfo_t*, void*) {
+/// The PC the signal interrupted, read from the handler's ucontext_t;
+/// null on an architecture this does not know.
+void* interruptedPc(void* uctx) {
+  const auto* uc = static_cast<const ucontext_t*>(uctx);
+#if defined(__x86_64__)
+  return reinterpret_cast<void*>(uc->uc_mcontext.gregs[REG_RIP]);
+#elif defined(__aarch64__)
+  return reinterpret_cast<void*>(uc->uc_mcontext.pc);
+#else
+  (void)uc;
+  return nullptr;
+#endif
+}
+
+/// Leaf-first stack of the interrupted code. backtrace() starts inside
+/// this handler and walks through the kernel's signal trampoline, so the
+/// frames up to the interrupted PC are dropped; when the unwinder did
+/// not reach it, the sample keeps the PC alone rather than the handler.
+int captureStack(void* uctx, void** pcs) {
+  void* pc = interruptedPc(uctx);
+  const int depth = ::backtrace(pcs, kMaxFrames);
+  if (pc == nullptr) return depth;
+  for (int i = 0; i < depth; ++i) {
+    if (pcs[i] != pc) continue;
+    for (int k = i; k < depth; ++k) pcs[k - i] = pcs[k];
+    return depth - i;
+  }
+  pcs[0] = pc;
+  return 1;
+}
+
+void profSignalHandler(int, siginfo_t*, void* uctx) {
   // Everything here is async-signal-safe: atomics, backtrace() (the
   // unwinder is preheated at start so it allocates nothing here), and a
   // ring push. errno is preserved for the interrupted code.
@@ -91,7 +121,7 @@ void profSignalHandler(int, siginfo_t*, void*) {
     }
     if (ring != nullptr) {
       void* pcs[kMaxFrames];
-      const int depth = ::backtrace(pcs, kMaxFrames);
+      const int depth = captureStack(uctx, pcs);
       if (depth > 0) ring->push(pcs, depth);
     }
   }
@@ -182,24 +212,6 @@ std::string cachedSymbol(std::map<void*, std::string>& cache, void* pc) {
   std::string sym = prof::symbolizePc(pc);
   cache.emplace(pc, sym);
   return sym;
-}
-
-/// Index of the first non-profiler frame: the handler and the kernel's
-/// signal trampoline lead every captured stack; everything below them
-/// is the interrupted code we actually want.
-int firstRealFrame(const std::vector<void*>& pcs) {
-  const int scan = std::min<int>(static_cast<int>(pcs.size()), 6);
-  int start = 0;
-  for (int i = 0; i < scan; ++i) {
-    Dl_info info{};
-    if (dladdr(pcs[static_cast<size_t>(i)], &info) == 0) continue;
-    if (info.dli_saddr ==
-            reinterpret_cast<void*>(&profSignalHandler) ||
-        (info.dli_sname != nullptr &&
-         std::strcmp(info.dli_sname, "__restore_rt") == 0))
-      start = i + 1;
-  }
-  return start;
 }
 
 }  // namespace
@@ -398,11 +410,13 @@ ProfileReport stopProfiling() {
   for (const auto& [key, count] : cap->raw) {
     samples += count;
     std::string stack = key.thread;
-    const int start = firstRealFrame(key.pcs);
-    // backtrace() is leaf-first; collapsed stacks are root-first.
-    for (int i = static_cast<int>(key.pcs.size()); i-- > start;) {
+    // Stacks are leaf-first; collapsed stacks are root-first. The leaf
+    // is the exact interrupted PC, not a return address, so it is
+    // looked up one byte on (symbolizePc steps back one).
+    for (size_t i = key.pcs.size(); i-- > 0;) {
+      char* pc = static_cast<char*>(key.pcs[i]);
       stack += ';';
-      stack += cachedSymbol(symbols, key.pcs[static_cast<size_t>(i)]);
+      stack += cachedSymbol(symbols, i == 0 ? pc + 1 : pc);
     }
     folded.add(stack, count);
   }

@@ -9,8 +9,10 @@
 //    rate — against the process CPU clock by default (samples land on
 //    whichever thread is burning CPU), or the monotonic wall clock for
 //    latency-shaped investigations;
-//  * the signal handler calls `backtrace()` and pushes the raw program
-//    counters into a pre-allocated per-thread lock-free ring. Every
+//  * the signal handler takes the interrupted PC from its ucontext_t,
+//    calls `backtrace()`, drops the frames above that PC (handler and
+//    signal trampoline) and pushes the rest into a pre-allocated
+//    per-thread lock-free ring. Every
 //    handler-side operation is async-signal-safe: no allocation, no
 //    locks, no formatting — claiming a ring is one CAS against a fixed
 //    pool, recording a sample is a memcpy plus one release store;

@@ -349,7 +349,10 @@ Analyzer::NewtonOutcome Analyzer::newtonInner(std::vector<double>& x,
                                               LoadContext& ctx) {
   NewtonOutcome out;
   const int n = unknownCount_;
-  std::vector<double> xNew(static_cast<size_t>(n), 0.0);
+  // The solve overwrites every entry of xNew, so the buffer is reused
+  // across solves and swapped with x instead of copied.
+  std::vector<double>& xNew = xNew_;
+  xNew.resize(static_cast<size_t>(n));
 
   {
     Solution sx(&x);
@@ -420,7 +423,7 @@ Analyzer::NewtonOutcome Analyzer::newtonInner(std::vector<double>& x,
       fx_->recordIteration(maxDelta, worstRatio, worstUnknown, anyLimited,
                            /*singular=*/false);
     }
-    x = xNew;
+    x.swap(xNew);
     if (converged && iter > 0) {
       out.converged = true;
       return out;
@@ -789,7 +792,6 @@ TranResult Analyzer::transient(double tstop, double maxStep,
   const double hMin = maxStep * 1e-9;
   bool firstStep = true;
 
-  std::vector<double> xPrev = x;
   std::vector<double> dstate(static_cast<size_t>(stateCount_), 0.0);
 
   while (t < tstop - 1e-18) {
@@ -807,8 +809,8 @@ TranResult Analyzer::transient(double tstop, double maxStep,
       ctx.c0 = (useTrap ? 2.0 / (1.0 + d) : 1.0) / h;
       ctx.trapFactor = useTrap ? (1.0 - d) / (1.0 + d) : 0.0;
 
-      std::vector<double> xTry = x;  // predictor: previous value
-      const NewtonOutcome nw = newton(xTry, ctx);
+      xTry_ = x;  // predictor: previous value
+      const NewtonOutcome nw = newton(xTry_, ctx);
       if (fx_) fx_->recordStep(tNew, h, nw.converged, nw.iterations);
       if (nw.converged) {
         accepted = true;
@@ -821,8 +823,7 @@ TranResult Analyzer::transient(double tstop, double maxStep,
         }
         statePrev_ = state_;
         dstatePrev_ = dstate;
-        xPrev = x;
-        x = xTry;
+        x.swap(xTry_);  // the next attempt overwrites xTry_ from x
         t = tNew;
         firstStep = false;
         if (t >= recordFrom) {

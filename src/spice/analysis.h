@@ -281,6 +281,10 @@ class Analyzer {
 
   // Charge/flux states.
   std::vector<double> state_, statePrev_, dstatePrev_;
+
+  // Newton scratch reused across solves: the solve target and the
+  // transient step's candidate.
+  std::vector<double> xNew_, xTry_;
 };
 
 }  // namespace ahfic::spice

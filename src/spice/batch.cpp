@@ -12,7 +12,6 @@
 #include "spice/junction.h"
 #include "spice/stamp.h"
 #include "util/error.h"
-#include "util/restrict.h"
 
 namespace {
 
@@ -27,59 +26,34 @@ double nowNs() {
 
 namespace ahfic::spice {
 
-// One Gummel-Poon transistor position shared by every replica: node ids
-// and value-array slots resolved once from the shared pattern (the batch
-// analogue of the per-device StampMemo), plus replica-strided SoA
-// parameter tables and the per-iteration evaluation outputs the scatter
-// pass consumes. Slot quads are in addConductance order — (a,a), (b,b),
-// (a,b), (b,a) — with -1 marking ground-touching entries that the
-// CsrStamper would drop.
-struct ReplicaBatch::BjtPlan {
-  int c, b, e, ci, bi, ei;
-  bool hasRc, hasRe, hasRb;
-  int rcQuad[4], reQuad[4], rbQuad[4], beQuad[4], bcQuad[4];
-  int tr6[6];  ///< transport addA slots, in Bjt::load() order
-  int rhsBi, rhsEi, rhsCi;
-
-  // SoA parameter tables (one value per replica).
-  std::vector<double> is, nfvt, nrvt, ise, nevt, isc, ncvt, vaf, var, ikf,
-      ikr, bf, br, rb, rbm, irb, vcritE, vcritC, pol, grc, gre;
-
-  // Junction-limiting history, reset to the x = 0 seed at each op().
-  std::vector<double> vbeLim, vbcLim;
-
-  // Phase-1 outputs: the exact scalars Bjt::load() stamps.
-  std::vector<double> oGrb, oGbe, oIeqBe, oGbc, oIeqBc, oGmf, oGmr, oIeqT;
+// One Gummel-Poon transistor position shared by every replica: its node
+// ids, replica 0's recorded DC stamp plan (valid for the shared pattern)
+// and one row per replica of parameters, limiting history and the
+// phase-1 stamp scalars phase 2 writes.
+struct ReplicaBatch::BjtTable {
+  BjtNodes nodes;
+  StampPlan plan;
+  struct Replica {
+    GummelPoonParams gp;
+    double pol, vcritE, vcritC, grc, gre;
+    double vbeLim, vbcLim;  ///< reset to the x = 0 seed at each op()
+    GummelPoonStamp out;
+  };
+  std::vector<Replica> rep;
 };
 
-struct ReplicaBatch::DiodePlan {
-  int a, cNode, aInt;
-  bool hasRs;
-  int rsQuad[4], jQuad[4];
-  int rhsA, rhsC;
-
-  std::vector<double> isArea, vte, vcrit, grs;
-  std::vector<double> vLim;
-  std::vector<double> oGd, oIeq;
+struct ReplicaBatch::DiodeTable {
+  int a, c, aInt;
+  StampPlan plan;
+  struct Replica {
+    double isArea, vte, vcrit, grs;
+    double vLim;
+    DiodeStamp out;
+  };
+  std::vector<Replica> rep;
 };
 
 ReplicaBatch::~ReplicaBatch() = default;
-
-int ReplicaBatch::resolveSlot(int row, int col) const {
-  if (row <= 0 || col <= 0) return -1;
-  const int slot = pat_.slot(row - 1, col - 1);
-  if (slot < 0)
-    throw Error("ReplicaBatch: stamp position (" + std::to_string(row) +
-                ", " + std::to_string(col) + ") missing from primed pattern");
-  return slot;
-}
-
-void ReplicaBatch::resolveQuad(int a, int b, int* quad) const {
-  quad[0] = resolveSlot(a, a);
-  quad[1] = resolveSlot(b, b);
-  quad[2] = resolveSlot(a, b);
-  quad[3] = resolveSlot(b, a);
-}
 
 void ReplicaBatch::buildLayoutFor(Circuit& ckt, std::vector<Device*>& linear,
                                   std::vector<Device*>& rhs,
@@ -178,7 +152,7 @@ ReplicaBatch::ReplicaBatch(std::vector<std::unique_ptr<Circuit>> replicas,
   lu_[0]->analyze(pat_);
   for (size_t r = 1; r < R; ++r) lu_[r]->adoptAnalysis(*lu_[0]);
 
-  buildPlans();
+  buildTables();
   computeStaticBaselines();
 
   x_.assign(R, std::vector<double>(static_cast<size_t>(unknownCount_), 0.0));
@@ -190,115 +164,47 @@ ReplicaBatch::ReplicaBatch(std::vector<std::unique_ptr<Circuit>> replicas,
   dstatePrevZero_ = stateScratch_;
 }
 
-void ReplicaBatch::buildPlans() {
+void ReplicaBatch::buildTables() {
   const size_t R = circuits_.size();
   for (size_t j = 0; j < nonlinearDevs_[0].size(); ++j) {
     Device* d0 = nonlinearDevs_[0][j];
+    const auto mismatch = [&](size_t r) {
+      return Error("ReplicaBatch: replica " + std::to_string(r) +
+                   " topology differs from replica 0 (device " + d0->name() +
+                   ")");
+    };
     if (auto* q0 = dynamic_cast<Bjt*>(d0)) {
-      BjtPlan p;
-      p.c = q0->nodes()[0];
-      p.b = q0->nodes()[1];
-      p.e = q0->nodes()[2];
-      p.ci = q0->internalCollector();
-      p.bi = q0->internalBase();
-      p.ei = q0->internalEmitter();
-      const BjtModel& m0 = q0->scaledModel();
-      p.hasRc = m0.rc > 0.0;
-      p.hasRe = m0.re > 0.0;
-      p.hasRb = m0.rb > 0.0;
-      resolveQuad(p.c, p.ci, p.rcQuad);
-      resolveQuad(p.e, p.ei, p.reQuad);
-      resolveQuad(p.b, p.bi, p.rbQuad);
-      resolveQuad(p.bi, p.ei, p.beQuad);
-      resolveQuad(p.bi, p.ci, p.bcQuad);
-      p.tr6[0] = resolveSlot(p.ci, p.bi);
-      p.tr6[1] = resolveSlot(p.ci, p.ei);
-      p.tr6[2] = resolveSlot(p.ci, p.ci);
-      p.tr6[3] = resolveSlot(p.ei, p.bi);
-      p.tr6[4] = resolveSlot(p.ei, p.ei);
-      p.tr6[5] = resolveSlot(p.ei, p.ci);
-      p.rhsBi = p.bi > 0 ? p.bi - 1 : -1;
-      p.rhsEi = p.ei > 0 ? p.ei - 1 : -1;
-      p.rhsCi = p.ci > 0 ? p.ci - 1 : -1;
-      for (auto* v : {&p.is, &p.nfvt, &p.nrvt, &p.ise, &p.nevt, &p.isc,
-                      &p.ncvt, &p.vaf, &p.var, &p.ikf, &p.ikr, &p.bf, &p.br,
-                      &p.rb, &p.rbm, &p.irb, &p.vcritE, &p.vcritC, &p.pol,
-                      &p.grc, &p.gre, &p.vbeLim, &p.vbcLim, &p.oGrb, &p.oGbe,
-                      &p.oIeqBe, &p.oGbc, &p.oIeqBc, &p.oGmf, &p.oGmr,
-                      &p.oIeqT})
-        v->assign(R, 0.0);
+      BjtTable t;
+      t.nodes = q0->stampNodes();
+      t.rep.resize(R);
       for (size_t r = 0; r < R; ++r) {
         auto* q = dynamic_cast<Bjt*>(nonlinearDevs_[r][j]);
-        if (q == nullptr || q->nodes() != q0->nodes() ||
-            q->internalCollector() != p.ci || q->internalBase() != p.bi ||
-            q->internalEmitter() != p.ei ||
-            q->substrateNode() != q0->substrateNode())
-          throw Error("ReplicaBatch: replica " + std::to_string(r) +
-                      " topology differs from replica 0 (device " +
-                      d0->name() + ")");
-        const BjtModel& m = q->scaledModel();
-        if ((m.rc > 0.0) != p.hasRc || (m.re > 0.0) != p.hasRe ||
-            (m.rb > 0.0) != p.hasRb)
-          throw Error("ReplicaBatch: replica " + std::to_string(r) +
-                      " parasitic topology differs (device " + d0->name() +
-                      ")");
-        const GummelPoonParams gp = gummelParams(m, q->vt());
-        p.is[r] = gp.is;
-        p.nfvt[r] = gp.nfvt;
-        p.nrvt[r] = gp.nrvt;
-        p.ise[r] = gp.ise;
-        p.nevt[r] = gp.nevt;
-        p.isc[r] = gp.isc;
-        p.ncvt[r] = gp.ncvt;
-        p.vaf[r] = gp.vaf;
-        p.var[r] = gp.var;
-        p.ikf[r] = gp.ikf;
-        p.ikr[r] = gp.ikr;
-        p.bf[r] = gp.bf;
-        p.br[r] = gp.br;
-        p.rb[r] = gp.rb;
-        p.rbm[r] = gp.rbm;
-        p.irb[r] = gp.irb;
-        p.vcritE[r] = q->vcritE();
-        p.vcritC[r] = q->vcritC();
-        p.pol[r] = q->polarity();
-        p.grc[r] = p.hasRc ? 1.0 / m.rc : 0.0;
-        p.gre[r] = p.hasRe ? 1.0 / m.re : 0.0;
+        if (q == nullptr || q->stampNodes() != t.nodes) throw mismatch(r);
+        t.rep[r] = {q->params(),        q->polarity(),      q->vcritE(),
+                    q->vcritC(),        q->rcConductance(), q->reConductance(),
+                    0.0,                0.0,                {}};
       }
       nonlinearOrder_.emplace_back(0, static_cast<int>(bjts_.size()));
-      bjts_.push_back(std::move(p));
+      bjts_.push_back(std::move(t));
     } else if (auto* dd0 = dynamic_cast<Diode*>(d0)) {
-      DiodePlan p;
-      p.a = dd0->nodes()[0];
-      p.cNode = dd0->nodes()[1];
-      p.aInt = dd0->internalAnode();
-      p.hasRs = dd0->scaledModel().rs > 0.0;
-      resolveQuad(p.a, p.aInt, p.rsQuad);
-      resolveQuad(p.aInt, p.cNode, p.jQuad);
-      p.rhsA = p.aInt > 0 ? p.aInt - 1 : -1;
-      p.rhsC = p.cNode > 0 ? p.cNode - 1 : -1;
-      for (auto* v : {&p.isArea, &p.vte, &p.vcrit, &p.grs, &p.vLim, &p.oGd,
-                      &p.oIeq})
-        v->assign(R, 0.0);
+      DiodeTable t;
+      t.a = dd0->nodes()[0];
+      t.c = dd0->nodes()[1];
+      t.aInt = dd0->internalAnode();
+      t.rep.resize(R);
       for (size_t r = 0; r < R; ++r) {
         auto* d = dynamic_cast<Diode*>(nonlinearDevs_[r][j]);
         if (d == nullptr || d->nodes() != dd0->nodes() ||
-            d->internalAnode() != p.aInt ||
-            (d->scaledModel().rs > 0.0) != p.hasRs)
-          throw Error("ReplicaBatch: replica " + std::to_string(r) +
-                      " topology differs from replica 0 (device " +
-                      d0->name() + ")");
-        const DiodeModel& m = d->scaledModel();
-        p.isArea[r] = m.is * d->area();
-        p.vte[r] = d->vte();
-        p.vcrit[r] = d->vcrit();
-        p.grs[r] = p.hasRs ? d->area() / m.rs : 0.0;
+            d->internalAnode() != t.aInt)
+          throw mismatch(r);
+        t.rep[r] = {d->saturationCurrent(), d->vte(), d->vcrit(),
+                    d->rsConductance(), 0.0, {}};
       }
       nonlinearOrder_.emplace_back(1, static_cast<int>(diodes_.size()));
-      diodes_.push_back(std::move(p));
+      diodes_.push_back(std::move(t));
     } else {
       throw Error("ReplicaBatch: unsupported nonlinear device '" +
-                  d0->name() + "' (only Bjt and Diode have SoA kernels)");
+                  d0->name() + "' (only Bjt and Diode are batched)");
     }
   }
 }
@@ -337,23 +243,25 @@ void ReplicaBatch::computeStaticBaselines() {
                   "pattern (replica " +
                   std::to_string(r) + ")");
   }
+
+  // One DC load of replica 0's nonlinear devices records their DC stamp
+  // plans on the shared pattern; phase 2 replays them for every replica
+  // (all share replica 0's topology).
+  std::vector<double> scratchVals(pat_.nonzeros(), 0.0);
+  CsrStamper cs(pat_, scratchVals, scratchRhs, &pending);
+  for (Device* dev : nonlinearDevs_[0]) dev->load(cs, sx, ctx);
+  if (!pending.empty())
+    throw Error("ReplicaBatch: nonlinear device stamped outside the primed "
+                "pattern");
+  for (size_t j = 0; j < nonlinearOrder_.size(); ++j) {
+    const auto [kind, idx] = nonlinearOrder_[j];
+    const auto i = static_cast<size_t>(idx);
+    (kind == 0 ? bjts_[i].plan : diodes_[i].plan) =
+        nonlinearDevs_[0][j]->stampPlan(Device::StampVariant::kDc);
+  }
 }
 
 namespace {
-
-/// addConductance scatter: vals[(a,a)] += g, vals[(b,b)] += g,
-/// vals[(a,b)] -= g, vals[(b,a)] -= g, ground slots dropped.
-inline void scatterQuad(double* AHFIC_RESTRICT vals, const int* quad,
-                        double g) {
-  if (quad[0] >= 0) vals[quad[0]] += g;
-  if (quad[1] >= 0) vals[quad[1]] += g;
-  if (quad[2] >= 0) vals[quad[2]] += -g;
-  if (quad[3] >= 0) vals[quad[3]] += -g;
-}
-
-inline void addSlot(double* AHFIC_RESTRICT vals, int slot, double v) {
-  if (slot >= 0) vals[slot] += v;
-}
 
 inline double solutionAt(const double* x, int id) {
   return id <= 0 ? 0.0 : x[id - 1];
@@ -384,11 +292,10 @@ ReplicaBatch::OpResult ReplicaBatch::op() {
     Solution sx(&x_[r]);
     for (const auto& dev : circuits_[r]->devices()) dev->beginSolve(sx);
   }
-  for (auto& p : bjts_) {
-    std::fill(p.vbeLim.begin(), p.vbeLim.end(), 0.0);
-    std::fill(p.vbcLim.begin(), p.vbcLim.end(), 0.0);
-  }
-  for (auto& p : diodes_) std::fill(p.vLim.begin(), p.vLim.end(), 0.0);
+  for (auto& t : bjts_)
+    for (auto& q : t.rep) q.vbeLim = q.vbcLim = 0.0;
+  for (auto& t : diodes_)
+    for (auto& d : t.rep) d.vLim = 0.0;
 
   LoadContext ctx;
   ctx.mode = AnalysisMode::kDcOp;
@@ -404,90 +311,45 @@ ReplicaBatch::OpResult ReplicaBatch::op() {
   bool anyActive = true;
 
   for (int iter = 0; iter < ao.maxNewtonIters && anyActive; ++iter) {
-    // --- Phase 1: SoA evaluation of every nonlinear device across all
-    // active replicas. Replica-strided loops over restrict-qualified
-    // parameter spans; the junction math is the shared spice/gummel.h /
-    // junction.h inlines, so each replica's arithmetic is the exact
-    // scalar sequence.
+    // --- Phase 1: evaluate every nonlinear device across all active
+    // replicas: the scalar devices' limiting, then the shared
+    // spice/gummel.h evaluation and linearization, so each replica's
+    // arithmetic is the exact scalar sequence.
     std::fill(limited.begin(), limited.end(), 0);
-    const char* AHFIC_RESTRICT act = active.data();
-    char* AHFIC_RESTRICT lim = limited.data();
-    for (auto& p : bjts_) {
-      const double* AHFIC_RESTRICT nfvt = p.nfvt.data();
-      const double* AHFIC_RESTRICT nrvt = p.nrvt.data();
-      const double* AHFIC_RESTRICT vcritE = p.vcritE.data();
-      const double* AHFIC_RESTRICT vcritC = p.vcritC.data();
-      const double* AHFIC_RESTRICT pol = p.pol.data();
-      double* AHFIC_RESTRICT vbeLim = p.vbeLim.data();
-      double* AHFIC_RESTRICT vbcLim = p.vbcLim.data();
-      double* AHFIC_RESTRICT oGrb = p.oGrb.data();
-      double* AHFIC_RESTRICT oGbe = p.oGbe.data();
-      double* AHFIC_RESTRICT oIeqBe = p.oIeqBe.data();
-      double* AHFIC_RESTRICT oGbc = p.oGbc.data();
-      double* AHFIC_RESTRICT oIeqBc = p.oIeqBc.data();
-      double* AHFIC_RESTRICT oGmf = p.oGmf.data();
-      double* AHFIC_RESTRICT oGmr = p.oGmr.data();
-      double* AHFIC_RESTRICT oIeqT = p.oIeqT.data();
+    for (auto& t : bjts_) {
       for (size_t r = 0; r < R; ++r) {
-        if (!act[r]) continue;
+        if (!active[r]) continue;
+        BjtTable::Replica& q = t.rep[r];
         const double* xr = x_[r].data();
-        // Junction voltages in model polarity with SPICE limiting —
-        // mirrors Bjt::load() step for step.
         const double vbeCand =
-            pol[r] * (solutionAt(xr, p.bi) - solutionAt(xr, p.ei));
+            q.pol * (solutionAt(xr, t.nodes.bi) - solutionAt(xr, t.nodes.ei));
         const double vbcCand =
-            pol[r] * (solutionAt(xr, p.bi) - solutionAt(xr, p.ci));
-        const double vbe = pnjlim(vbeCand, vbeLim[r], nfvt[r], vcritE[r]);
-        const double vbc = pnjlim(vbcCand, vbcLim[r], nrvt[r], vcritC[r]);
-        if (vbe != vbeCand) lim[r] = 1;
-        if (vbc != vbcCand) lim[r] = 1;
-        vbeLim[r] = vbe;
-        vbcLim[r] = vbc;
-        const GummelPoonParams gp{p.is[r],  nfvt[r],   nrvt[r],  p.ise[r],
-                                  p.nevt[r], p.isc[r], p.ncvt[r], p.vaf[r],
-                                  p.var[r],  p.ikf[r], p.ikr[r],  p.bf[r],
-                                  p.br[r],   p.rb[r],  p.rbm[r],  p.irb[r]};
-        const GummelPoonEval ev = gummelEvaluate(gp, vbe, vbc, ao.gmin);
-        // The exact stamp scalars of Bjt::load() (DC: no charge stamps).
-        oGrb[r] = 1.0 / ev.rbEff;
-        const double gBe = ev.gbe1 / gp.bf + ev.gbe2 + ao.gmin;
-        const double iBe = ev.ibe1 / gp.bf + ev.ibe2 + ao.gmin * vbe;
-        oGbe[r] = gBe;
-        oIeqBe[r] = pol[r] * (iBe - gBe * vbe);
-        const double gBc = ev.gbc1 / gp.br + ev.gbc2 + ao.gmin;
-        const double iBc = ev.ibc1 / gp.br + ev.ibc2 + ao.gmin * vbc;
-        oGbc[r] = gBc;
-        oIeqBc[r] = pol[r] * (iBc - gBc * vbc);
-        oGmf[r] = ev.gmf;
-        oGmr[r] = ev.gmr;
-        oIeqT[r] = pol[r] * (ev.icc - ev.gmf * vbe - ev.gmr * vbc);
+            q.pol * (solutionAt(xr, t.nodes.bi) - solutionAt(xr, t.nodes.ci));
+        const double vbe = pnjlim(vbeCand, q.vbeLim, q.gp.nfvt, q.vcritE);
+        const double vbc = pnjlim(vbcCand, q.vbcLim, q.gp.nrvt, q.vcritC);
+        if (vbe != vbeCand || vbc != vbcCand) limited[r] = 1;
+        q.vbeLim = vbe;
+        q.vbcLim = vbc;
+        const GummelPoonEval ev = gummelEvaluate(q.gp, vbe, vbc, ao.gmin);
+        q.out = gummelLinearize(q.gp, ev, q.pol, vbe, vbc, ao.gmin);
       }
     }
-    for (auto& p : diodes_) {
-      const double* AHFIC_RESTRICT isArea = p.isArea.data();
-      const double* AHFIC_RESTRICT vte = p.vte.data();
-      const double* AHFIC_RESTRICT vcrit = p.vcrit.data();
-      double* AHFIC_RESTRICT vLim = p.vLim.data();
-      double* AHFIC_RESTRICT oGd = p.oGd.data();
-      double* AHFIC_RESTRICT oIeq = p.oIeq.data();
+    for (auto& t : diodes_) {
       for (size_t r = 0; r < R; ++r) {
-        if (!act[r]) continue;
+        if (!active[r]) continue;
+        DiodeTable::Replica& d = t.rep[r];
         const double* xr = x_[r].data();
-        const double vCand =
-            solutionAt(xr, p.aInt) - solutionAt(xr, p.cNode);
-        const double v = pnjlim(vCand, vLim[r], vte[r], vcrit[r]);
-        if (v != vCand) lim[r] = 1;
-        vLim[r] = v;
-        const auto iv = junctionIV(v, isArea[r], vte[r]);
-        const double gd = iv.g + ao.gmin;
-        const double id = iv.i + ao.gmin * v;
-        oGd[r] = gd;
-        oIeq[r] = id - gd * v;
+        const double vCand = solutionAt(xr, t.aInt) - solutionAt(xr, t.c);
+        const double v = pnjlim(vCand, d.vLim, d.vte, d.vcrit);
+        if (v != vCand) limited[r] = 1;
+        d.vLim = v;
+        d.out = diodeLinearize(junctionIV(v, d.isArea, d.vte), v, ao.gmin);
       }
     }
 
     // --- Phase 2: per-replica assemble (baseline memcpy + linear RHS +
-    // slot-ordered scatter), refactor replay, solve, convergence.
+    // the devices' own stamp functions over replica 0's DC plans),
+    // refactor replay, solve, convergence.
     anyActive = false;
     for (size_t r = 0; r < R; ++r) {
       if (!active[r]) continue;
@@ -501,35 +363,17 @@ ReplicaBatch::OpResult ReplicaBatch::op() {
       Solution sx(&x_[r]);
       for (Device* dev : rhsDevs_[r]) dev->load(rhsOnly, sx, ctx);
 
-      double* vals = vals_.data();
-      double* rhs = rhs_.data();
       for (const auto& [kind, idx] : nonlinearOrder_) {
         if (kind == 0) {
-          const BjtPlan& p = bjts_[static_cast<size_t>(idx)];
-          if (p.hasRc) scatterQuad(vals, p.rcQuad, p.grc[r]);
-          if (p.hasRe) scatterQuad(vals, p.reQuad, p.gre[r]);
-          if (p.hasRb) scatterQuad(vals, p.rbQuad, p.oGrb[r]);
-          scatterQuad(vals, p.beQuad, p.oGbe[r]);
-          if (p.rhsBi >= 0) rhs[p.rhsBi] += -p.oIeqBe[r];
-          if (p.rhsEi >= 0) rhs[p.rhsEi] += p.oIeqBe[r];
-          scatterQuad(vals, p.bcQuad, p.oGbc[r]);
-          if (p.rhsBi >= 0) rhs[p.rhsBi] += -p.oIeqBc[r];
-          if (p.rhsCi >= 0) rhs[p.rhsCi] += p.oIeqBc[r];
-          const double gmfr = p.oGmf[r] + p.oGmr[r];
-          addSlot(vals, p.tr6[0], gmfr);
-          addSlot(vals, p.tr6[1], -p.oGmf[r]);
-          addSlot(vals, p.tr6[2], -p.oGmr[r]);
-          addSlot(vals, p.tr6[3], -(gmfr));
-          addSlot(vals, p.tr6[4], p.oGmf[r]);
-          addSlot(vals, p.tr6[5], p.oGmr[r]);
-          if (p.rhsCi >= 0) rhs[p.rhsCi] += -p.oIeqT[r];
-          if (p.rhsEi >= 0) rhs[p.rhsEi] += p.oIeqT[r];
+          const BjtTable& t = bjts_[static_cast<size_t>(idx)];
+          const BjtTable::Replica& q = t.rep[r];
+          SlotWriter w(t.plan, vals_.data(), rhs_.data());
+          stampGummelPoon(w, t.nodes, q.grc, q.gre, q.out, nullptr);
         } else {
-          const DiodePlan& p = diodes_[static_cast<size_t>(idx)];
-          if (p.hasRs) scatterQuad(vals, p.rsQuad, p.grs[r]);
-          scatterQuad(vals, p.jQuad, p.oGd[r]);
-          if (p.rhsA >= 0) rhs[p.rhsA] += -p.oIeq[r];
-          if (p.rhsC >= 0) rhs[p.rhsC] += p.oIeq[r];
+          const DiodeTable& t = diodes_[static_cast<size_t>(idx)];
+          const DiodeTable::Replica& d = t.rep[r];
+          SlotWriter w(t.plan, vals_.data(), rhs_.data());
+          stampDiode(w, t.a, t.aInt, t.c, d.grs, d.out, nullptr);
         }
       }
 

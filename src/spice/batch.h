@@ -19,16 +19,17 @@
 //     the existing pivot/fill replay (full factor on the first
 //     iteration of each op, refactor replay after — the same sequence a
 //     fresh Analyzer produces, so results are bit-identical);
-//   - structure-of-arrays parameter tables for the nonlinear devices
-//     (Gummel-Poon BJT and junction diode), evaluated by replica-strided
-//     loops over AHFIC_RESTRICT spans calling the same spice/gummel.h
-//     inlines as the scalar devices, then scattered into the value array
-//     through slots resolved once from the shared pattern (the batch
-//     analogue of the per-device StampMemo) in the devices' exact
-//     load() stamp order.
+//   - per-replica parameter tables for the nonlinear devices (Gummel-Poon
+//     BJT and junction diode). Phase 1 of each Newton iteration runs
+//     every active replica through the same spice/gummel.h limiting
+//     inputs and linearization (gummelLinearize, diodeLinearize) as the
+//     scalar devices; phase 2 writes the resulting scalars with the
+//     devices' own stamp functions (stampGummelPoon, stampDiode),
+//     replaying replica 0's recorded DC stamp plan for every replica.
+//     The batch holds no stamp sequence of its own.
 //
 // Newton runs in masked lockstep: each iteration evaluates all active
-// replicas (phase 1, SoA) and then assembles/factors/solves each one
+// replicas (phase 1) and then assembles/factors/solves each one
 // (phase 2), with per-replica convergence decisions that mirror
 // Analyzer::newtonInner exactly. A replica whose factorization goes
 // singular or that exhausts maxNewtonIters falls back to a full
@@ -110,8 +111,8 @@ class ReplicaBatch {
   const Options& options() const { return opts_; }
 
  private:
-  struct BjtPlan;
-  struct DiodePlan;
+  struct BjtTable;
+  struct DiodeTable;
 
   void buildLayoutFor(Circuit& ckt, std::vector<Device*>& linear,
                       std::vector<Device*>& rhs,
@@ -119,13 +120,11 @@ class ReplicaBatch {
                       int& states) const;
   void primePatternFor(Circuit& ckt, CsrPattern& pat, int unknowns,
                        int states) const;
-  void buildPlans();
+  void buildTables();
+  /// Stamps every replica's linear devices into its static baseline and
+  /// records replica 0's nonlinear DC stamp plans on the shared pattern.
   void computeStaticBaselines();
   void publishStats();
-  /// Slot quad for addConductance(a, b): (a,a), (b,b), (a,b), (b,a);
-  /// -1 entries touch ground and are dropped.
-  void resolveQuad(int a, int b, int* quad) const;
-  int resolveSlot(int row, int col) const;
 
   Options opts_;
   std::vector<std::unique_ptr<Circuit>> circuits_;
@@ -140,12 +139,13 @@ class ReplicaBatch {
   std::vector<std::vector<Device*>> rhsDevs_;  // linear, not matrix-only
   std::vector<std::vector<Device*>> nonlinearDevs_;
 
-  // Nonlinear device plans (SoA parameter tables + slot schedules).
-  std::vector<BjtPlan> bjts_;
-  std::vector<DiodePlan> diodes_;
+  // Nonlinear device tables (per-replica parameters, limiting history,
+  // phase-1 stamp scalars, replica 0's DC stamp plan).
+  std::vector<BjtTable> bjts_;
+  std::vector<DiodeTable> diodes_;
   /// Interleave order: for each nonlinear device in circuit order, its
-  /// kind (0 = bjt, 1 = diode) and index into the plan vector, so phase
-  /// 2 scatters in the exact scalar device order.
+  /// kind (0 = bjt, 1 = diode) and index into the table vector, so phase
+  /// 2 stamps in the exact scalar device order.
   std::vector<std::pair<int, int>> nonlinearOrder_;
 
   // Per-op scratch, allocated once.

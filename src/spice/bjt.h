@@ -17,6 +17,46 @@ namespace ahfic::spice {
 
 class Circuit;
 
+/// Node ids one Gummel-Poon stamp touches. An internal node equals its
+/// terminal when the matching parasitic resistor is absent.
+struct BjtNodes {
+  int c, b, e;     ///< collector, base, emitter terminals
+  int ci, bi, ei;  ///< internal collector, base, emitter
+  int sub;         ///< substrate
+  bool operator==(const BjtNodes&) const = default;
+};
+
+/// The one Gummel-Poon stamp sequence, shared by Bjt::load() and the
+/// batched replica engine: parasitic resistances, the B-E and B-C
+/// junction branches, the transport source and, when `q` is non-null
+/// (transient), the four charge companions. `w` is a SlotWriter; `grc`
+/// and `gre` are the collector/emitter parasitic conductances.
+template <typename W>
+void stampGummelPoon(W& w, const BjtNodes& n, double grc, double gre,
+                     const GummelPoonStamp& s,
+                     const GummelPoonCompanions* q) {
+  if (n.ci != n.c) w.addConductance(n.c, n.ci, grc);
+  if (n.ei != n.e) w.addConductance(n.e, n.ei, gre);
+  if (n.bi != n.b) w.addConductance(n.b, n.bi, s.grb);
+  w.addNonlinearBranch(n.bi, n.ei, s.gbe, s.ieqBe);
+  w.addNonlinearBranch(n.bi, n.ci, s.gbc, s.ieqBc);
+  // Transport source pol*icc (ci -> ei): d/dV(bi) = gmf + gmr,
+  // d/dV(ei) = -gmf, d/dV(ci) = -gmr.
+  w.addA(n.ci, n.bi, s.gmf + s.gmr);
+  w.addA(n.ci, n.ei, -s.gmf);
+  w.addA(n.ci, n.ci, -s.gmr);
+  w.addA(n.ei, n.bi, -(s.gmf + s.gmr));
+  w.addA(n.ei, n.ei, s.gmf);
+  w.addA(n.ei, n.ci, s.gmr);
+  w.addRhs(n.ci, -s.ieqT);
+  w.addRhs(n.ei, s.ieqT);
+  if (q == nullptr) return;
+  w.addNonlinearBranch(n.bi, n.ei, q->be.geq, q->be.ieq);
+  w.addNonlinearBranch(n.bi, n.ci, q->bc.geq, q->bc.ieq);
+  w.addNonlinearBranch(n.b, n.ci, q->bx.geq, q->bx.ieq);
+  w.addNonlinearBranch(n.sub, n.ci, q->cs.geq, q->cs.ieq);
+}
+
 /// Small-signal operating-point summary of a BJT, used for fT extraction
 /// and for the top-down characterisation flow.
 struct BjtOpInfo {
@@ -65,38 +105,40 @@ class Bjt final : public Device {
   /// Effective (area-scaled) model actually simulated.
   const BjtModel& scaledModel() const { return m_; }
 
-  int internalCollector() const { return ci_; }
-  int internalBase() const { return bi_; }
-  int internalEmitter() const { return ei_; }
-  int substrateNode() const { return sub_; }
+  int internalCollector() const { return n_.ci; }
+  int internalBase() const { return n_.bi; }
+  int internalEmitter() const { return n_.ei; }
 
-  /// Derived constants used by the batched replica engine to mirror this
-  /// device's arithmetic exactly (see spice/batch.h).
+  /// Instance constants the batched replica engine needs to run this
+  /// device's linearization and stamp sequence (see spice/batch.h).
+  const BjtNodes& stampNodes() const { return n_; }
+  const GummelPoonParams& params() const { return gp_; }
   double polarity() const { return pol_; }
-  double vt() const { return vt_; }
   double vcritE() const { return vcritE_; }
   double vcritC() const { return vcritC_; }
+  double rcConductance() const { return grc_; }
+  double reConductance() const { return gre_; }
 
  private:
   // The model equations live in spice/gummel.h so the batched replica
   // engine evaluates the exact same inline functions.
-  using Eval = GummelPoonEval;
-  using Charges = GummelPoonCharges;
-  Eval evaluate(double vbe, double vbc, double gmin) const {
-    return gummelEvaluate(m_, vt_, vbe, vbc, gmin);
+  GummelPoonEval evaluate(double vbe, double vbc, double gmin) const {
+    return gummelEvaluate(gp_, vbe, vbc, gmin);
   }
-  Charges charges(double vbe, double vbc, double vcs, const Eval& e) const {
+  GummelPoonCharges charges(double vbe, double vbc, double vcs,
+                            const GummelPoonEval& e) const {
     return gummelCharges(m_, dep_, vbe, vbc, vcs, e);
   }
 
   BjtModel model_;  ///< as given
   BjtModel m_;      ///< area-scaled copy used in evaluation
+  GummelPoonParams gp_{};    ///< evaluation parameters of m_
   GummelPoonDepletion dep_;  ///< bias-independent depletion constants
   double area_;
   double pol_;      ///< +1 NPN, -1 PNP
-  double vt_;
   double vcritE_, vcritC_;
-  int ci_, bi_, ei_, sub_;
+  double grc_ = 0.0, gre_ = 0.0;  ///< 1/rc, 1/re (0 when absent)
+  BjtNodes n_;
   double vbeLimited_ = 0.0, vbcLimited_ = 0.0;  ///< Newton limiting history
 };
 

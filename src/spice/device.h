@@ -160,21 +160,34 @@ class Device {
     (void)tempK;
   }
 
+  /// The stamp-plan variants a device keeps (see stamp.h). A load's
+  /// stamp sequence is fixed by the device's instance constants plus
+  /// whether charge companions are active (LoadContext::c0 != 0), so the
+  /// real path needs one plan per integrator state and the complex path
+  /// one more.
+  enum class StampVariant { kDc, kTransient, kAc };
+  /// The plan recorded for `v` (ReplicaBatch replays a device's DC plan
+  /// without calling load()).
+  const StampPlan& stampPlan(StampVariant v) const {
+    return plans_[static_cast<int>(v)];
+  }
+
  protected:
-  /// Slot memos for the CSR stamp path: load() and loadAc() wrap their
-  /// stamper in a SlotWriter bound to these, so each device caches the
-  /// value-array indices it stamps (one memo per scalar domain — the
-  /// real and complex patterns differ).
-  StampMemo& stampMemo() { return stampMemo_; }
-  StampMemo& stampMemoAc() { return stampMemoAc_; }
+  /// The plan a load()/loadAc() binds its SlotWriter to.
+  StampPlan& stampPlan(const LoadContext& ctx) {
+    return plans_[static_cast<int>(ctx.c0 != 0.0 ? StampVariant::kTransient
+                                                 : StampVariant::kDc)];
+  }
+  StampPlan& stampPlanAc() {
+    return plans_[static_cast<int>(StampVariant::kAc)];
+  }
 
  private:
   std::string name_;
   std::vector<int> nodes_;
   int branchBase_ = -1;
   int stateBase_ = -1;
-  StampMemo stampMemo_;
-  StampMemo stampMemoAc_;
+  StampPlan plans_[3];
 };
 
 }  // namespace ahfic::spice

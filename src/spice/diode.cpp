@@ -21,8 +21,12 @@ Diode::Diode(std::string name, Circuit& ckt, int anode, int cathode,
   model_ = d.m;
   vte_ = d.vte;
   vcrit_ = d.vcrit;
+  isArea_ = model_.is * area_;
   dep_ = depletionConsts(model_.cj0 * area_, model_.vj, model_.m, model_.fc);
-  if (model_.rs > 0.0) aInt_ = ckt.internalNode(this->name() + "#a");
+  if (model_.rs > 0.0) {
+    aInt_ = ckt.internalNode(this->name() + "#a");
+    grs_ = area_ / model_.rs;
+  }
 }
 
 double Diode::junctionVoltage(const Solution& x) const {
@@ -30,7 +34,7 @@ double Diode::junctionVoltage(const Solution& x) const {
 }
 
 double Diode::current(const Solution& x) const {
-  return junctionIV(junctionVoltage(x), model_.is * area_, vte_).i;
+  return junctionIV(junctionVoltage(x), isArea_, vte_).i;
 }
 
 void Diode::beginSolve(const Solution& x) {
@@ -38,10 +42,7 @@ void Diode::beginSolve(const Solution& x) {
 }
 
 void Diode::load(Stamper& s, const Solution& x, const LoadContext& ctx) {
-  SlotWriter w(s, stampMemo());
   const int a = nodes()[0], c = nodes()[1];
-  if (model_.rs > 0.0)
-    w.addConductance(a, aInt_, area_ / model_.rs);
 
   // SPICE-style limiting: evaluate at a damped junction voltage.
   const double vCand = x.diff(aInt_, c);
@@ -49,20 +50,20 @@ void Diode::load(Stamper& s, const Solution& x, const LoadContext& ctx) {
   ctx.noteLimited(v, vCand, this);
   vLimited_ = v;
 
-  auto iv = junctionIV(v, model_.is * area_, vte_);
-  const double gd = iv.g + ctx.gmin;
-  const double id = iv.i + ctx.gmin * v;
-  w.addNonlinearBranch(aInt_, c, gd, id - gd * v);
+  const JunctionIV iv = junctionIV(v, isArea_, vte_);
+  const DiodeStamp lin = diodeLinearize(iv, v, ctx.gmin);
 
-  // Charge: depletion + diffusion (tt * id).
+  // Charge: depletion + diffusion (tt * id), recorded in DC too.
   const auto dep = depletionQC(v, dep_);
   const double q = dep.q + model_.tt * iv.i;
   const double cap = dep.c + model_.tt * iv.g;
   const double dqdt = ctx.integrate(stateBase(), q);
-  if (ctx.c0 != 0.0) {
-    const double geq = cap * ctx.c0;
-    w.addNonlinearBranch(aInt_, c, geq, dqdt - geq * v);
-  }
+
+  const bool tran = ctx.c0 != 0.0;
+  const ChargeCompanion qc =
+      tran ? chargeCompanion(cap, ctx.c0, 1.0, dqdt, v) : ChargeCompanion{};
+  SlotWriter w(s, stampPlan(ctx));
+  stampDiode(w, a, aInt_, c, grs_, lin, tran ? &qc : nullptr);
 }
 
 void Diode::appendNoise(std::vector<NoiseSourceDesc>& out,
@@ -77,12 +78,11 @@ void Diode::appendNoise(std::vector<NoiseSourceDesc>& out,
 }
 
 void Diode::loadAc(AcStamper& s, const Solution& op, double omega) {
-  AcSlotWriter w(s, stampMemoAc());
+  AcSlotWriter w(s, stampPlanAc());
   const int a = nodes()[0], c = nodes()[1];
-  if (model_.rs > 0.0)
-    w.addAdmittance(a, aInt_, {area_ / model_.rs, 0.0});
+  if (model_.rs > 0.0) w.addAdmittance(a, aInt_, {grs_, 0.0});
   const double v = op.diff(aInt_, c);
-  const auto iv = junctionIV(v, model_.is * area_, vte_);
+  const auto iv = junctionIV(v, isArea_, vte_);
   const auto dep = depletionQC(v, dep_);
   const double cap = dep.c + model_.tt * iv.g;
   w.addAdmittance(aInt_, c, {iv.g, omega * cap});

@@ -2,12 +2,26 @@
 // Junction diode (SPICE D element).
 
 #include "spice/device.h"
+#include "spice/gummel.h"
 #include "spice/junction.h"
 #include "spice/models.h"
 
 namespace ahfic::spice {
 
 class Circuit;
+
+/// The one junction-diode stamp sequence, shared by Diode::load() and
+/// the batched replica engine: series resistance `grs` from anode `a` to
+/// the internal anode `aInt` (stamped only when they differ), the
+/// junction companion to cathode `c` and, when `q` is non-null
+/// (transient), the charge companion. `w` is a SlotWriter.
+template <typename W>
+void stampDiode(W& w, int a, int aInt, int c, double grs,
+                const DiodeStamp& s, const ChargeCompanion* q) {
+  if (aInt != a) w.addConductance(a, aInt, grs);
+  w.addNonlinearBranch(aInt, c, s.gd, s.ieq);
+  if (q != nullptr) w.addNonlinearBranch(aInt, c, q->geq, q->ieq);
+}
 
 /// Junction diode from anode to cathode. When the model has rs > 0 an
 /// internal anode node is created. Carries one charge state (depletion +
@@ -32,19 +46,21 @@ class Diode final : public Device {
   /// Diode current at solution `x` (through the junction).
   double current(const Solution& x) const;
 
-  /// Derived constants used by the batched replica engine to mirror this
-  /// device's arithmetic exactly (see spice/batch.h).
-  const DiodeModel& scaledModel() const { return model_; }
-  double area() const { return area_; }
+  /// Instance constants the batched replica engine needs to run this
+  /// device's linearization and stamp sequence (see spice/batch.h).
   double vte() const { return vte_; }
   double vcrit() const { return vcrit_; }
   int internalAnode() const { return aInt_; }
+  double saturationCurrent() const { return isArea_; }
+  double rsConductance() const { return grs_; }
 
  private:
   DiodeModel model_;
   double area_;
   double vte_;    ///< n * Vt
   double vcrit_;
+  double isArea_ = 0.0;  ///< is * area
+  double grs_ = 0.0;     ///< area / rs (0 when rs == 0)
   DepletionConsts dep_;  ///< bias-independent depletion constants
   int aInt_;      ///< internal anode (== anode when rs == 0)
   double vLimited_ = 0.0;  ///< limiting history across Newton iterations

@@ -4,13 +4,16 @@
 // The scalar Bjt/Diode devices (bjt.cpp, diode.cpp) and the batched
 // replica engine (batch.cpp) evaluate the SAME inline functions below, so
 // a batched Monte-Carlo replica is bit-identical to the scalar device it
-// mirrors — there is exactly one copy of the model equations. Everything
-// here is pure math on a model card: no Circuit, no Stamper, no state.
+// mirrors — there is exactly one copy of the model equations, and one of
+// the linearization that turns them into stamp scalars
+// (gummelLinearize, diodeLinearize, chargeCompanion). The stamp sequences
+// that write those scalars live beside the devices (stampGummelPoon in
+// bjt.h, stampDiode in diode.h). Everything here is pure math on a model
+// card: no Circuit, no Stamper, no state.
 //
-// deriveGummelPoon()/deriveDiode() reproduce the per-instance derivation
-// the device constructors perform (area factor, RBM default, temperature
-// adjustment, critical voltages); the batch engine uses them to build its
-// structure-of-arrays parameter tables without constructing devices.
+// deriveGummelPoon()/deriveDiode() are the per-instance derivation of the
+// device constructors (area factor, RBM default, temperature adjustment,
+// critical voltages).
 
 #include <algorithm>
 #include <cmath>
@@ -106,10 +109,10 @@ inline DerivedGummelPoon deriveGummelPoon(const BjtModel& model, double area,
 }
 
 /// The scalar parameters gummelEvaluate() actually consumes, with the
-/// thermal-voltage products pre-multiplied. The batch engine stores one
-/// structure-of-arrays table per parameter (replica-strided) and loads a
-/// GummelPoonParams per replica, so the evaluation below is written
-/// exactly once for both the scalar device and the batched kernel.
+/// thermal-voltage products pre-multiplied. Each Bjt computes its set
+/// once; the batch engine tables one per replica, so the evaluation
+/// below is written exactly once for both the scalar device and the
+/// batched kernel.
 struct GummelPoonParams {
   double is;            ///< transport saturation current
   double nfvt, nrvt;    ///< nf * Vt, nr * Vt
@@ -218,6 +221,56 @@ inline GummelPoonEval gummelEvaluate(const BjtModel& m, double vt,
   return gummelEvaluate(gummelParams(m, vt), vbe, vbc, gmin);
 }
 
+/// The scalars one DC Gummel-Poon load stamps, at limited junction
+/// voltages: three companion branches (B-E and B-C junctions, each with
+/// its gmin shunt, and the C-E transport source) plus the bias-dependent
+/// base conductance. Equivalent currents carry the device polarity.
+struct GummelPoonStamp {
+  double grb;            ///< 1 / rbEff
+  double gbe, ieqBe;     ///< B-E junction branch (bi -> ei)
+  double gbc, ieqBc;     ///< B-C junction branch (bi -> ci)
+  double gmf, gmr;       ///< transport transconductances
+  double ieqT;           ///< transport equivalent current (ci -> ei)
+};
+
+inline GummelPoonStamp gummelLinearize(const GummelPoonParams& p,
+                                       const GummelPoonEval& ev, double pol,
+                                       double vbe, double vbc, double gmin) {
+  GummelPoonStamp s;
+  s.grb = 1.0 / ev.rbEff;
+  // B-E junction: i = ibe1/bf + ibe2 + gmin*vbe (B-C likewise).
+  s.gbe = ev.gbe1 / p.bf + ev.gbe2 + gmin;
+  const double ibe = ev.ibe1 / p.bf + ev.ibe2 + gmin * vbe;
+  s.ieqBe = pol * (ibe - s.gbe * vbe);
+  s.gbc = ev.gbc1 / p.br + ev.gbc2 + gmin;
+  const double ibc = ev.ibc1 / p.br + ev.ibc2 + gmin * vbc;
+  s.ieqBc = pol * (ibc - s.gbc * vbc);
+  s.gmf = ev.gmf;
+  s.gmr = ev.gmr;
+  s.ieqT = pol * (ev.icc - ev.gmf * vbe - ev.gmr * vbc);
+  return s;
+}
+
+/// Transient companion of one charge state: conductance cap * c0 and the
+/// polarity-signed equivalent current of dq/dt at the branch voltage v.
+struct ChargeCompanion {
+  double geq, ieq;
+};
+
+inline ChargeCompanion chargeCompanion(double cap, double c0, double pol,
+                                       double dqdt, double v) {
+  const double geq = cap * c0;
+  return {geq, pol * (dqdt - geq * v)};
+}
+
+/// The four Gummel-Poon charge companions, in stamp order.
+struct GummelPoonCompanions {
+  ChargeCompanion be;  ///< bi -> ei
+  ChargeCompanion bc;  ///< bi -> ci
+  ChargeCompanion bx;  ///< b  -> ci (external B-C part)
+  ChargeCompanion cs;  ///< sub -> ci
+};
+
 /// Bias-independent depletion constants of the four junction charges,
 /// derived once per instance from the effective card.
 struct GummelPoonDepletion {
@@ -289,6 +342,20 @@ inline GummelPoonCharges gummelCharges(const BjtModel& m,
     c.ccs = dep.c;
   }
   return c;
+}
+
+/// The DC stamp scalars of a junction diode at limited voltage `v`,
+/// given its junction evaluation `iv`: conductance with the gmin shunt
+/// and the companion's equivalent current.
+struct DiodeStamp {
+  double gd, ieq;
+};
+
+inline DiodeStamp diodeLinearize(const JunctionIV& iv, double v,
+                                 double gmin) {
+  const double gd = iv.g + gmin;
+  const double id = iv.i + gmin * v;
+  return {gd, id - gd * v};
 }
 
 /// Per-instance derived constants of a junction diode: the

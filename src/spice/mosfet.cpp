@@ -81,7 +81,7 @@ Mosfet::Eval Mosfet::evaluate(double vgs, double vds, double vbs) const {
 }
 
 void Mosfet::load(Stamper& s, const Solution& x, const LoadContext& ctx) {
-  SlotWriter w(s, stampMemo());
+  SlotWriter w(s, stampPlan(ctx));
   const int d = nodes()[0], g = nodes()[1], srcn = nodes()[2],
             b = nodes()[3];
   if (m_.rd > 0.0) w.addConductance(d, di_, 1.0 / m_.rd);
@@ -144,7 +144,7 @@ void Mosfet::load(Stamper& s, const Solution& x, const LoadContext& ctx) {
 }
 
 void Mosfet::loadAc(AcStamper& s, const Solution& op, double omega) {
-  AcSlotWriter w(s, stampMemoAc());
+  AcSlotWriter w(s, stampPlanAc());
   const int d = nodes()[0], g = nodes()[1], srcn = nodes()[2],
             b = nodes()[3];
   if (m_.rd > 0.0) w.addAdmittance(d, di_, {1.0 / m_.rd, 0.0});

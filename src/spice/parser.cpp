@@ -9,6 +9,7 @@
 #include "spice/mosfet.h"
 #include "spice/passive.h"
 #include "spice/sources.h"
+#include "util/error.h"
 #include "util/strings.h"
 #include "util/units.h"
 

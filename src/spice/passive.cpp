@@ -16,13 +16,13 @@ void Resistor::setResistance(double ohms) {
   ohms_ = ohms;
 }
 
-void Resistor::load(Stamper& s, const Solution&, const LoadContext&) {
-  SlotWriter w(s, stampMemo());
+void Resistor::load(Stamper& s, const Solution&, const LoadContext& ctx) {
+  SlotWriter w(s, stampPlan(ctx));
   w.addConductance(nodes()[0], nodes()[1], 1.0 / ohms_);
 }
 
 void Resistor::loadAc(AcStamper& s, const Solution&, double) {
-  AcSlotWriter w(s, stampMemoAc());
+  AcSlotWriter w(s, stampPlanAc());
   w.addAdmittance(nodes()[0], nodes()[1], {1.0 / ohms_, 0.0});
 }
 
@@ -51,12 +51,12 @@ void Capacitor::load(Stamper& s, const Solution& x, const LoadContext& ctx) {
   if (ctx.c0 == 0.0) return;  // DC: open circuit
   const double geq = farads_ * ctx.c0;
   // i = dqdt at v*, linearised: g = geq, ieq = dqdt - geq*v*
-  SlotWriter w(s, stampMemo());
+  SlotWriter w(s, stampPlan(ctx));
   w.addNonlinearBranch(a, b, geq, dqdt - geq * v);
 }
 
 void Capacitor::loadAc(AcStamper& s, const Solution&, double omega) {
-  AcSlotWriter w(s, stampMemoAc());
+  AcSlotWriter w(s, stampPlanAc());
   w.addAdmittance(nodes()[0], nodes()[1], {0.0, omega * farads_});
 }
 
@@ -69,7 +69,7 @@ Inductor::Inductor(std::string name, int a, int b, double henries)
 void Inductor::load(Stamper& s, const Solution& x, const LoadContext& ctx) {
   const int a = nodes()[0], b = nodes()[1];
   const int br = branchId();
-  SlotWriter w(s, stampMemo());
+  SlotWriter w(s, stampPlan(ctx));
   // KCL coupling: branch current leaves a, enters b.
   w.addA(a, br, 1.0);
   w.addA(b, br, -1.0);
@@ -90,7 +90,7 @@ void Inductor::load(Stamper& s, const Solution& x, const LoadContext& ctx) {
 void Inductor::loadAc(AcStamper& s, const Solution&, double omega) {
   const int a = nodes()[0], b = nodes()[1];
   const int br = branchId();
-  AcSlotWriter w(s, stampMemoAc());
+  AcSlotWriter w(s, stampPlanAc());
   w.addA(a, br, {1.0, 0.0});
   w.addA(b, br, {-1.0, 0.0});
   w.addA(br, a, {1.0, 0.0});

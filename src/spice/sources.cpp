@@ -130,7 +130,7 @@ VSource::VSource(std::string name, int p, int n, double dc, double acMag,
               acPhaseDeg) {}
 
 void VSource::load(Stamper& s, const Solution&, const LoadContext& ctx) {
-  SlotWriter w(s, stampMemo());
+  SlotWriter w(s, stampPlan(ctx));
   const int p = nodes()[0], n = nodes()[1], br = branchId();
   w.addA(p, br, 1.0);
   w.addA(n, br, -1.0);
@@ -143,7 +143,7 @@ void VSource::load(Stamper& s, const Solution&, const LoadContext& ctx) {
 }
 
 void VSource::loadAc(AcStamper& s, const Solution&, double) {
-  AcSlotWriter w(s, stampMemoAc());
+  AcSlotWriter w(s, stampPlanAc());
   const int p = nodes()[0], n = nodes()[1], br = branchId();
   w.addA(p, br, {1.0, 0.0});
   w.addA(n, br, {-1.0, 0.0});
@@ -169,7 +169,7 @@ ISource::ISource(std::string name, int p, int n, double dc, double acMag,
               acPhaseDeg) {}
 
 void ISource::load(Stamper& s, const Solution&, const LoadContext& ctx) {
-  SlotWriter w(s, stampMemo());
+  SlotWriter w(s, stampPlan(ctx));
   const double i = ctx.srcScale * ((ctx.mode == AnalysisMode::kTransient)
                                        ? wave_->value(ctx.time)
                                        : wave_->dcValue());
@@ -180,7 +180,7 @@ void ISource::load(Stamper& s, const Solution&, const LoadContext& ctx) {
 }
 
 void ISource::loadAc(AcStamper& s, const Solution&, double) {
-  AcSlotWriter w(s, stampMemoAc());
+  AcSlotWriter w(s, stampPlanAc());
   const double ph = acPhaseDeg_ * util::constants::kPi / 180.0;
   const std::complex<double> i{acMag_ * std::cos(ph),
                                acMag_ * std::sin(ph)};
@@ -191,8 +191,8 @@ void ISource::loadAc(AcStamper& s, const Solution&, double) {
 Vcvs::Vcvs(std::string name, int p, int n, int cp, int cn, double gain)
     : Device(std::move(name), {p, n, cp, cn}), gain_(gain) {}
 
-void Vcvs::load(Stamper& s, const Solution&, const LoadContext&) {
-  SlotWriter w(s, stampMemo());
+void Vcvs::load(Stamper& s, const Solution&, const LoadContext& ctx) {
+  SlotWriter w(s, stampPlan(ctx));
   const int p = nodes()[0], n = nodes()[1], cp = nodes()[2], cn = nodes()[3];
   const int br = branchId();
   w.addA(p, br, 1.0);
@@ -204,7 +204,7 @@ void Vcvs::load(Stamper& s, const Solution&, const LoadContext&) {
 }
 
 void Vcvs::loadAc(AcStamper& s, const Solution&, double) {
-  AcSlotWriter w(s, stampMemoAc());
+  AcSlotWriter w(s, stampPlanAc());
   const int p = nodes()[0], n = nodes()[1], cp = nodes()[2], cn = nodes()[3];
   const int br = branchId();
   w.addA(p, br, {1.0, 0.0});
@@ -218,14 +218,14 @@ void Vcvs::loadAc(AcStamper& s, const Solution&, double) {
 Vccs::Vccs(std::string name, int p, int n, int cp, int cn, double gm)
     : Device(std::move(name), {p, n, cp, cn}), gm_(gm) {}
 
-void Vccs::load(Stamper& s, const Solution&, const LoadContext&) {
-  SlotWriter w(s, stampMemo());
+void Vccs::load(Stamper& s, const Solution&, const LoadContext& ctx) {
+  SlotWriter w(s, stampPlan(ctx));
   // Current gm*v(cp,cn) flows p -> n through the source.
   w.addTransconductance(nodes()[0], nodes()[1], nodes()[2], nodes()[3], gm_);
 }
 
 void Vccs::loadAc(AcStamper& s, const Solution&, double) {
-  AcSlotWriter w(s, stampMemoAc());
+  AcSlotWriter w(s, stampPlanAc());
   w.addTransadmittance(nodes()[0], nodes()[1], nodes()[2], nodes()[3],
                        {gm_, 0.0});
 }
@@ -233,15 +233,15 @@ void Vccs::loadAc(AcStamper& s, const Solution&, double) {
 Cccs::Cccs(std::string name, int p, int n, const VSource& ctrl, double gain)
     : Device(std::move(name), {p, n}), ctrl_(ctrl), gain_(gain) {}
 
-void Cccs::load(Stamper& s, const Solution&, const LoadContext&) {
-  SlotWriter w(s, stampMemo());
+void Cccs::load(Stamper& s, const Solution&, const LoadContext& ctx) {
+  SlotWriter w(s, stampPlan(ctx));
   const int p = nodes()[0], n = nodes()[1], cbr = ctrl_.branchId();
   w.addA(p, cbr, gain_);
   w.addA(n, cbr, -gain_);
 }
 
 void Cccs::loadAc(AcStamper& s, const Solution&, double) {
-  AcSlotWriter w(s, stampMemoAc());
+  AcSlotWriter w(s, stampPlanAc());
   const int p = nodes()[0], n = nodes()[1], cbr = ctrl_.branchId();
   w.addA(p, cbr, {gain_, 0.0});
   w.addA(n, cbr, {-gain_, 0.0});
@@ -250,8 +250,8 @@ void Cccs::loadAc(AcStamper& s, const Solution&, double) {
 Ccvs::Ccvs(std::string name, int p, int n, const VSource& ctrl, double r)
     : Device(std::move(name), {p, n}), ctrl_(ctrl), r_(r) {}
 
-void Ccvs::load(Stamper& s, const Solution&, const LoadContext&) {
-  SlotWriter w(s, stampMemo());
+void Ccvs::load(Stamper& s, const Solution&, const LoadContext& ctx) {
+  SlotWriter w(s, stampPlan(ctx));
   const int p = nodes()[0], n = nodes()[1], br = branchId();
   const int cbr = ctrl_.branchId();
   w.addA(p, br, 1.0);
@@ -262,7 +262,7 @@ void Ccvs::load(Stamper& s, const Solution&, const LoadContext&) {
 }
 
 void Ccvs::loadAc(AcStamper& s, const Solution&, double) {
-  AcSlotWriter w(s, stampMemoAc());
+  AcSlotWriter w(s, stampPlanAc());
   const int p = nodes()[0], n = nodes()[1], br = branchId();
   const int cbr = ctrl_.branchId();
   w.addA(p, br, {1.0, 0.0});

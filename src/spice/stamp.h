@@ -4,21 +4,18 @@
 // `Stamper` (real, DC/transient) and `AcStamper` (complex, AC) hide the
 // stamping target and perform the unknown-id -> row mapping, dropping any
 // contribution that involves ground (id 0). The analyses stamp into a
-// CsrPattern; DenseStamper and DenseAcStamper fill a DenseMatrix and
-// serve only as the reference the tests solve with solveDense.
+// CsrPattern through CsrStamperT.
 //
 // The CSR target adds a slot protocol on top: a stamper bound to a
 // CsrPattern exposes patternEpoch()/locateA() plus the value and RHS
 // arrays behind them (slotValues()/rhsValues()), and devices wrap
-// whatever stamper they are handed in a SlotWriter that memoizes the
-// slot of every matrix position they touch (see StampMemo). After the
-// first assemble against a pattern revision, re-stamping is a straight
-// replay of cached value-array indices written in place — no binary
-// search, no map insertions, no virtual call. The memo self-heals: every
-// replayed entry is verified against the (row, col) key actually being
-// stamped, so call sequences that differ between analysis modes (DC
-// stamps fewer companion entries than transient) just rewrite the memo
-// from the point of divergence instead of corrupting it.
+// whatever stamper they are handed in a SlotWriter bound to one of their
+// StampPlans. Which positions a device stamps, and in what order, is
+// fixed by its instance constants plus the plan variant (DC, transient
+// or AC; see Device::stampPlan), so the first load of a variant against
+// a pattern revision records the slot of every addA call, and every
+// later load is a pure replay of that list written in place: no binary
+// search, no (row, col) comparison, no virtual call.
 
 #include <complex>
 #include <cstdint>
@@ -26,7 +23,6 @@
 #include <vector>
 
 #include "spice/csr.h"
-#include "spice/linalg.h"
 
 namespace ahfic::spice {
 
@@ -34,12 +30,13 @@ namespace ahfic::spice {
 inline constexpr int kStampSlotGround = -1;  ///< touches ground; dropped
 inline constexpr int kStampSlotMiss = -2;    ///< not in the pattern (yet)
 
-/// Per-device cache of matrix slots, in stamp-call order. Valid only for
-/// the pattern revision named by `epoch`; a SlotWriter clears it on any
-/// epoch change, so devices never need to invalidate it themselves.
-struct StampMemo {
+/// One device's recorded stamp positions for one variant: the value-array
+/// slot (or kStampSlotGround) of every addA call, in call order. Valid
+/// only for the pattern revision named by `epoch`; 0 means not recorded
+/// (never loaded, or the recording pass hit a pattern miss).
+struct StampPlan {
   std::uint64_t epoch = 0;
-  std::vector<std::pair<std::uint64_t, int>> entries;  ///< (rc key, slot)
+  std::vector<int> slots;
 };
 
 /// Real-valued stamping target for DC and transient loads.
@@ -132,41 +129,6 @@ class AcStamper {
   }
 };
 
-/// Dense-backed real stamper (test reference; see the file comment).
-class DenseStamper final : public Stamper {
- public:
-  DenseStamper(DenseMatrix<double>& a, std::vector<double>& rhs)
-      : a_(a), rhs_(rhs) {}
-  void addA(int r, int c, double v) override {
-    if (r > 0 && c > 0) a_.at(r - 1, c - 1) += v;
-  }
-  void addRhs(int r, double v) override {
-    if (r > 0) rhs_[static_cast<size_t>(r - 1)] += v;
-  }
-
- private:
-  DenseMatrix<double>& a_;
-  std::vector<double>& rhs_;
-};
-
-/// Dense-backed complex stamper for AC (test reference).
-class DenseAcStamper final : public AcStamper {
- public:
-  DenseAcStamper(DenseMatrix<std::complex<double>>& a,
-                 std::vector<std::complex<double>>& rhs)
-      : a_(a), rhs_(rhs) {}
-  void addA(int r, int c, std::complex<double> v) override {
-    if (r > 0 && c > 0) a_.at(r - 1, c - 1) += v;
-  }
-  void addRhs(int r, std::complex<double> v) override {
-    if (r > 0) rhs_[static_cast<size_t>(r - 1)] += v;
-  }
-
- private:
-  DenseMatrix<std::complex<double>>& a_;
-  std::vector<std::complex<double>>& rhs_;
-};
-
 /// CSR-backed stamper (real or complex): values land in a slot-ordered
 /// array parallel to the pattern's colIdx(). Positions missing from the
 /// pattern are collected into `pending` (as 0-based matrix coordinates)
@@ -212,53 +174,64 @@ class CsrStamperT final : public Base {
 using CsrStamper = CsrStamperT<Stamper, double>;
 using CsrAcStamper = CsrStamperT<AcStamper, std::complex<double>>;
 
-/// Device-side memoizing front end over any stamper. Constructed at the
-/// top of a device's load()/loadAc() around the stamper it was handed;
-/// when the backend exposes a pattern epoch and its value array, every
-/// addA resolves through the device's StampMemo (fast replay of cached
-/// slots, key-verified so a diverging call sequence heals itself) and
-/// lands as a direct write into that array; RHS writes go straight into
-/// the backend's RHS array when it has one. Otherwise calls forward
-/// untouched. Mirrors the convenience helpers of Stamper/AcStamper so
-/// device bodies read the same as before.
+/// Device-side front end over any stamper, bound to one StampPlan.
+/// Constructed in a device's load()/loadAc() around the stamper it was
+/// handed, it runs in one of three modes:
+///   - forward: the backend has no slot arrays (pattern discovery, the
+///     RHS-only and state-only passes, test stampers); every call goes
+///     to the stamper;
+///   - record: the plan was not recorded against this pattern revision;
+///     every addA resolves its slot through locateA(), appends it to the
+///     plan and writes in place. A position missing from the pattern
+///     goes through the stamper's addA() so it reaches `pending`, and
+///     leaves the plan unrecorded so the next load records it again;
+///   - replay: the plan matches; addA writes `vals[plan[i++]] += v`.
+/// RHS writes go straight into the backend's RHS array when it has one.
+/// The second constructor is replay-only over raw arrays, for engines
+/// that evaluate a device's stamp sequence without the device
+/// (ReplicaBatch). Mirrors the convenience helpers of
+/// Stamper/AcStamper.
 template <typename S, typename V>
 class SlotWriterT {
  public:
-  SlotWriterT(S& s, StampMemo& memo)
-      : s_(s), memo_(memo), rhs_(s.rhsValues()) {
+  SlotWriterT(S& s, StampPlan& plan) : s_(&s), rhs_(s.rhsValues()) {
     const std::uint64_t e = s.patternEpoch();
-    if (e == 0) return;
-    vals_ = s.slotValues();
-    if (vals_ != nullptr && memo_.epoch != e) {
-      memo_.entries.clear();
-      memo_.epoch = e;
+    if (e == 0 || (vals_ = s.slotValues()) == nullptr) return;
+    if (plan.epoch == e) {
+      mode_ = Mode::kReplay;
+      next_ = plan.slots.data();
+      return;
     }
+    mode_ = Mode::kRecord;
+    plan_ = &plan;
+    epoch_ = e;
+    plan.epoch = 0;
+    plan.slots.clear();
   }
+  /// Replay-only writer: `plan` must be recorded against the pattern
+  /// `vals` is laid out for; `rhs` is the 0-based RHS.
+  SlotWriterT(const StampPlan& plan, V* vals, V* rhs)
+      : rhs_(rhs),
+        vals_(vals),
+        next_(plan.slots.data()),
+        mode_(Mode::kReplay) {}
+  ~SlotWriterT() {
+    if (mode_ == Mode::kRecord && !missed_) plan_->epoch = epoch_;
+  }
+  SlotWriterT(const SlotWriterT&) = delete;
+  SlotWriterT& operator=(const SlotWriterT&) = delete;
 
   void addA(int r, int c, V v) {
-    if (vals_ == nullptr) {
-      s_.addA(r, c, v);
+    if (mode_ == Mode::kReplay) [[likely]] {
+      const int slot = *next_++;
+      if (slot >= 0) vals_[slot] += v;
       return;
     }
-    const std::uint64_t key = packKey(r, c);
-    if (cursor_ < memo_.entries.size() &&
-        memo_.entries[cursor_].first == key) {
-      write(r, c, memo_.entries[cursor_++].second, v);
-      return;
-    }
-    // First pass over this position, or the call sequence diverged from
-    // the memo (e.g. DC -> transient): resolve and overwrite in place.
-    const int slot = s_.locateA(r, c);
-    if (cursor_ < memo_.entries.size())
-      memo_.entries[cursor_] = {key, slot};
-    else
-      memo_.entries.emplace_back(key, slot);
-    ++cursor_;
-    write(r, c, slot, v);
+    recordOrForward(r, c, v);
   }
   void addRhs(int r, V v) {
     if (rhs_ == nullptr)
-      s_.addRhs(r, v);
+      s_->addRhs(r, v);
     else if (r > 0)
       rhs_[r - 1] += v;
   }
@@ -290,23 +263,33 @@ class SlotWriterT {
   }
 
  private:
-  static std::uint64_t packKey(int r, int c) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(r)) << 32) |
-           static_cast<std::uint32_t>(c);
-  }
+  enum class Mode : unsigned char { kForward, kRecord, kReplay };
 
-  void write(int r, int c, int slot, V v) {
-    if (slot >= 0)
+  // Out of line so the replay path above stays small enough to inline
+  // into every device's stamp sequence.
+  [[gnu::noinline]] void recordOrForward(int r, int c, V v) {
+    if (mode_ == Mode::kForward) {
+      s_->addA(r, c, v);
+      return;
+    }
+    const int slot = s_->locateA(r, c);
+    plan_->slots.push_back(slot);
+    if (slot >= 0) {
       vals_[slot] += v;
-    else if (slot == kStampSlotMiss)
-      s_.addA(r, c, v);  // keeps feeding `pending` until the pattern grows
+    } else if (slot == kStampSlotMiss) {
+      missed_ = true;
+      s_->addA(r, c, v);  // keeps feeding `pending` until the pattern grows
+    }
   }
 
-  S& s_;
-  StampMemo& memo_;
+  S* s_ = nullptr;
   V* rhs_;
-  V* vals_ = nullptr;  ///< non-null: memoized direct writes
-  size_t cursor_ = 0;
+  V* vals_ = nullptr;
+  const int* next_ = nullptr;  ///< replay cursor into the plan
+  StampPlan* plan_ = nullptr;  ///< plan being recorded
+  std::uint64_t epoch_ = 0;    ///< revision being recorded against
+  bool missed_ = false;
+  Mode mode_ = Mode::kForward;
 };
 
 using SlotWriter = SlotWriterT<Stamper, double>;

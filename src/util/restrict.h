@@ -1,10 +1,9 @@
 #pragma once
 // AHFIC_RESTRICT: portable spelling of C99 `restrict` for C++.
 //
-// Annotates pointer parameters of the batch data plane's inner loops
-// (structure-of-arrays device evaluation, slot-ordered scatters) so the
-// compiler can prove the spans don't alias and autovectorize the
-// surrounding arithmetic. Expands to nothing on compilers without the
+// Annotates pointers of flat inner loops (the tuner's image-rejection
+// sweep) so the compiler can prove the spans don't alias and
+// autovectorize the surrounding arithmetic. Expands to nothing on compilers without the
 // extension — the loops stay correct, just scalar.
 
 #if defined(__GNUC__) || defined(__clang__)

@@ -3,6 +3,9 @@
 // structure-caching SparseLU; these helpers stamp the same devices into a
 // DenseMatrix (DenseStamper / DenseAcStamper) and solve with solveDense,
 // so a test can check the engine against an independent factorization.
+// The dense types live in ahfic::spice beside the engine's own stampers
+// but belong to the tests and bench_micro only: no library code uses
+// them.
 //
 // The circuit must already have its unknown layout (construct an
 // Analyzer over it first). op() resets junction-limiting history through
@@ -17,10 +20,144 @@
 
 #include "spice/analysis.h"
 #include "spice/circuit.h"
-#include "spice/linalg.h"
 #include "spice/solution.h"
+#include "spice/sparse_lu.h"  // pivotMag
 #include "spice/stamp.h"
 #include "util/error.h"
+
+namespace ahfic::spice {
+
+/// Dense row-major matrix.
+template <typename T>
+class DenseMatrix {
+ public:
+  DenseMatrix() = default;
+  DenseMatrix(int rows, int cols)
+      : rows_(rows), cols_(cols), data_(static_cast<size_t>(rows) * cols) {}
+
+  int rows() const { return rows_; }
+  int cols() const { return cols_; }
+
+  T& at(int r, int c) { return data_[static_cast<size_t>(r) * cols_ + c]; }
+  const T& at(int r, int c) const {
+    return data_[static_cast<size_t>(r) * cols_ + c];
+  }
+
+  void setZero() { std::fill(data_.begin(), data_.end(), T{}); }
+
+  /// In-place LU factorisation with partial pivoting.
+  /// Returns false if the matrix is numerically singular; when
+  /// `singularCol` is given it receives the column that lacked a usable
+  /// pivot (columns are never permuted, so this is the original unknown
+  /// index), or -1 on success.
+  bool luFactor(std::vector<int>& perm, int* singularCol = nullptr) {
+    if (rows_ != cols_) throw Error("luFactor: matrix must be square");
+    if (singularCol != nullptr) *singularCol = -1;
+    const int n = rows_;
+    perm.resize(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) perm[static_cast<size_t>(i)] = i;
+    for (int k = 0; k < n; ++k) {
+      int p = k;
+      double best = pivotMag(at(k, k));
+      for (int i = k + 1; i < n; ++i) {
+        const double m = pivotMag(at(i, k));
+        if (m > best) {
+          best = m;
+          p = i;
+        }
+      }
+      if (best < 1e-300) {
+        if (singularCol != nullptr) *singularCol = k;
+        return false;
+      }
+      if (p != k) {
+        for (int c = 0; c < n; ++c) std::swap(at(k, c), at(p, c));
+        std::swap(perm[static_cast<size_t>(k)], perm[static_cast<size_t>(p)]);
+      }
+      const T pivot = at(k, k);
+      for (int i = k + 1; i < n; ++i) {
+        const T m = at(i, k) / pivot;
+        at(i, k) = m;
+        if (m != T{}) {
+          for (int c = k + 1; c < n; ++c) at(i, c) -= m * at(k, c);
+        }
+      }
+    }
+    return true;
+  }
+
+  /// Solves L U x = P b using factors produced by luFactor.
+  void luSolve(const std::vector<int>& perm, const std::vector<T>& b,
+               std::vector<T>& x) const {
+    const int n = rows_;
+    x.resize(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i)
+      x[static_cast<size_t>(i)] = b[static_cast<size_t>(perm[static_cast<size_t>(i)])];
+    for (int i = 1; i < n; ++i) {
+      T s = x[static_cast<size_t>(i)];
+      for (int j = 0; j < i; ++j) s -= at(i, j) * x[static_cast<size_t>(j)];
+      x[static_cast<size_t>(i)] = s;
+    }
+    for (int i = n - 1; i >= 0; --i) {
+      T s = x[static_cast<size_t>(i)];
+      for (int j = i + 1; j < n; ++j) s -= at(i, j) * x[static_cast<size_t>(j)];
+      x[static_cast<size_t>(i)] = s / at(i, i);
+    }
+  }
+
+ private:
+  int rows_ = 0;
+  int cols_ = 0;
+  std::vector<T> data_;
+};
+
+/// Convenience one-shot dense solve: returns x with A x = b.
+/// Throws ahfic::Error on singular A.
+template <typename T>
+std::vector<T> solveDense(DenseMatrix<T> a, std::vector<T> b) {
+  std::vector<int> perm;
+  if (!a.luFactor(perm)) throw Error("solveDense: singular matrix");
+  std::vector<T> x;
+  a.luSolve(perm, b, x);
+  return x;
+}
+
+/// Dense-backed real stamper.
+class DenseStamper final : public Stamper {
+ public:
+  DenseStamper(DenseMatrix<double>& a, std::vector<double>& rhs)
+      : a_(a), rhs_(rhs) {}
+  void addA(int r, int c, double v) override {
+    if (r > 0 && c > 0) a_.at(r - 1, c - 1) += v;
+  }
+  void addRhs(int r, double v) override {
+    if (r > 0) rhs_[static_cast<size_t>(r - 1)] += v;
+  }
+
+ private:
+  DenseMatrix<double>& a_;
+  std::vector<double>& rhs_;
+};
+
+/// Dense-backed complex stamper for AC.
+class DenseAcStamper final : public AcStamper {
+ public:
+  DenseAcStamper(DenseMatrix<std::complex<double>>& a,
+                 std::vector<std::complex<double>>& rhs)
+      : a_(a), rhs_(rhs) {}
+  void addA(int r, int c, std::complex<double> v) override {
+    if (r > 0 && c > 0) a_.at(r - 1, c - 1) += v;
+  }
+  void addRhs(int r, std::complex<double> v) override {
+    if (r > 0) rhs_[static_cast<size_t>(r - 1)] += v;
+  }
+
+ private:
+  DenseMatrix<std::complex<double>>& a_;
+  std::vector<std::complex<double>>& rhs_;
+};
+
+}  // namespace ahfic::spice
 
 namespace dense_oracle {
 

@@ -26,6 +26,15 @@ extern "C" __attribute__((noinline)) void ahficProfTestAnchor() {
   asm volatile("");
 }
 
+// Profiling target: exported like the anchor, and its loop makes no
+// calls, so a CPU-clock sample taken while it runs interrupts this very
+// function.
+extern "C" __attribute__((noipa)) double ahficProfBusyLoop(long iters) {
+  volatile double acc = 1.0;
+  for (long i = 0; i < iters; ++i) acc = acc * 1.0000001 + 1e-9;
+  return acc;
+}
+
 namespace {
 
 TEST(ObsProf, FoldedStacksAggregatesAndSortsDeterministically) {
@@ -247,6 +256,23 @@ TEST(ObsProf, EndToEndCaptureProducesSamplesAndFiles) {
   const obs::ProfileReport second = obs::stopProfiling();
   EXPECT_EQ(second.clock, "cpu");
   EXPECT_FALSE(obs::profilingActive());
+}
+
+TEST(ObsProf, TopSelfFrameIsTheInterruptedFunction) {
+  // Each sample's leaf is the code the signal interrupted, not the
+  // handler or the kernel's signal trampoline, so a busy loop profiled
+  // on the CPU clock ranks first among self frames.
+  ASSERT_TRUE(obs::startProfiling());
+  const auto t0 = std::chrono::steady_clock::now();
+  while (std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+             .count() < 0.4)
+    ahficProfBusyLoop(1'000'000);
+  const obs::ProfileReport report = obs::stopProfiling();
+  ASSERT_GE(report.samples, 10);
+  const u::JsonValue top = report.toJson().get("topSelf");
+  ASSERT_GE(top.size(), 1u);
+  EXPECT_EQ(top.at(0).get("symbol").asString(), "ahficProfBusyLoop")
+      << report.collapsed();
 }
 
 TEST(ObsProf, ScopedProfileWritesOnDestruction) {

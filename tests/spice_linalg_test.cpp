@@ -1,4 +1,4 @@
-#include "spice/linalg.h"
+#include "dense_oracle.h"
 
 #include <gtest/gtest.h>
 
