@@ -1,7 +1,8 @@
 // Batched Monte-Carlo data-plane ablation: the scalar fT pipeline (one
-// FtExtractor per die, fresh circuit + pattern priming + symbolic
-// analysis per bisection evaluation) against spice::ReplicaBatch via
-// BatchFtExtractor, with each speedup step measured on its own:
+// FtExtractor per die, its own circuit + pattern priming + symbolic
+// analysis, one operating point per BiasSearch step) against
+// spice::ReplicaBatch via BatchFtExtractor, with each speedup step
+// measured on its own:
 //
 //   1. shared structure + batched device evaluation (but every
 //      Newton iteration pays a pivoting full factorization),

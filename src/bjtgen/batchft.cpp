@@ -1,6 +1,5 @@
 #include "bjtgen/batchft.h"
 
-#include <cmath>
 #include <memory>
 
 #include "obs/metrics.h"
@@ -20,7 +19,7 @@ BatchFtExtractor::BatchFtExtractor(std::vector<spice::BjtModel> cards,
       batch_([&] {
         if (vce <= 0.0) throw Error("BatchFtExtractor: vce must be > 0");
         if (cards.empty()) throw Error("BatchFtExtractor: no cards");
-        // The scalar icAtVbe bias cell, one replica per card. Device
+        // The scalar BiasCell circuit, one replica per card. Device
         // order matters: VB, VC, Q1 — identical unknown layout to the
         // scalar circuit is what the bit-identity contract rests on.
         std::vector<std::unique_ptr<sp::Circuit>> replicas;
@@ -57,91 +56,49 @@ void BatchFtExtractor::setVbe(int r, double vbe) {
       std::make_unique<sp::DcWaveform>(vbe));
 }
 
-std::vector<double> BatchFtExtractor::icAll() {
-  const auto res = batch_.op();
-  // Fold the batch's new counters into the AnalyzerStats view.
-  const sp::BatchStats& bs = batch_.stats();
-  stats_.newtonIterations += bs.newtonIterations - seen_.newtonIterations;
-  stats_.matrixSolves += bs.matrixSolves - seen_.matrixSolves;
-  seen_ = bs;
-  std::vector<double> ic(res.x.size());
-  for (size_t r = 0; r < res.x.size(); ++r) {
-    sp::Solution s(&res.x[r]);
-    ic[r] = -s.at(vc_[r]->branchId());
-  }
-  return ic;
-}
-
 std::vector<BatchFtPoint> BatchFtExtractor::measureAnalyticAt(double ic) {
-  if (ic <= 0.0) throw Error("FtExtractor: ic must be > 0");
+  const size_t R = static_cast<size_t>(batch_.replicaCount());
+  std::vector<BiasSearch> search;
+  search.reserve(R);
+  for (size_t r = 0; r < R; ++r) search.emplace_back(q_[r]->model(), ic);
   static const obs::Counter extractions =
       obs::counter("bjtgen.ft_extractions");
   extractions.add(batch_.replicaCount());
   obs::ScopedSpan span("bjtgen.ft_extract_batch", "bjtgen");
 
-  const size_t R = static_cast<size_t>(batch_.replicaCount());
+  // Masked lockstep: one batched operating point per step solves every
+  // still-searching die at its own BiasSearch Vbe. Finished dies keep
+  // riding the block solves at their last Vbe; their results are taken
+  // from the solve that finished them, as the scalar path does.
   std::vector<BatchFtPoint> out(R);
-  std::vector<double> lo(R, 0.3), hi(R, 1.15), vbe(R, 0.0);
-  std::vector<char> active(R, 0);
-
-  // Bracket check at the scalar endpoints, all dies at once.
-  for (size_t r = 0; r < R; ++r) setVbe(static_cast<int>(r), 0.3);
-  const std::vector<double> iLo = icAll();
-  for (size_t r = 0; r < R; ++r) setVbe(static_cast<int>(r), 1.15);
-  const std::vector<double> iHi = icAll();
-  for (size_t r = 0; r < R; ++r) {
-    if (ic <= iLo[r] || ic >= iHi[r]) {
-      out[r].ok = false;
-      out[r].error = "FtExtractor: target current out of bias range";
-    } else {
-      out[r].ok = true;
-      active[r] = 1;
-    }
-  }
-
-  // Masked lockstep bisection: each die walks the exact lo/hi/mid
-  // trajectory of the scalar solveBias; converged or failed dies stop
-  // updating but keep riding the block solves.
-  bool anyActive = false;
-  for (size_t r = 0; r < R; ++r) anyActive = anyActive || active[r];
-  for (int iter = 0; iter < 60 && anyActive; ++iter) {
+  for (bool searching = true; searching;) {
     for (size_t r = 0; r < R; ++r)
-      if (active[r]) setVbe(static_cast<int>(r), 0.5 * (lo[r] + hi[r]));
-    const std::vector<double> iMid = icAll();
-    anyActive = false;
+      if (search[r].status() == BiasSearch::Status::kSearching)
+        setVbe(static_cast<int>(r), search[r].vbe());
+    const auto res = batch_.op();
+    const sp::BatchStats& bs = batch_.stats();
+    stats_.newtonIterations += bs.newtonIterations - seen_.newtonIterations;
+    stats_.matrixSolves += bs.matrixSolves - seen_.matrixSolves;
+    seen_ = bs;
+    searching = false;
     for (size_t r = 0; r < R; ++r) {
-      if (!active[r]) continue;
-      const double mid = 0.5 * (lo[r] + hi[r]);
-      if (std::fabs(iMid[r] - ic) < 1e-3 * ic) {
-        vbe[r] = mid;
-        active[r] = 0;
-        continue;
+      if (search[r].status() != BiasSearch::Status::kSearching) continue;
+      const sp::Solution s(&res.x[r]);
+      switch (search[r].report(-s.at(vc_[r]->branchId()))) {
+        case BiasSearch::Status::kSearching:
+          searching = true;
+          break;
+        case BiasSearch::Status::kSolved:
+          out[r].ok = true;
+          out[r].point.ic = ic;
+          out[r].point.vbe = search[r].vbe();
+          out[r].point.ft = q_[r]->opInfo(s).ft();
+          break;
+        case BiasSearch::Status::kOutOfRange:
+          out[r].error = BiasSearch::kOutOfRangeError;
+          break;
       }
-      if (iMid[r] < ic)
-        lo[r] = mid;
-      else
-        hi[r] = mid;
-      anyActive = true;
     }
-  }
-  for (size_t r = 0; r < R; ++r)
-    if (active[r]) vbe[r] = 0.5 * (lo[r] + hi[r]);  // scalar 60-iter exit
-
-  // Final operating point at each die's converged Vbe; fT from the
-  // analytic formula on that op, exactly measureAnalyticAt's tail.
-  for (size_t r = 0; r < R; ++r)
-    setVbe(static_cast<int>(r), out[r].ok ? vbe[r] : 0.3);
-  const auto res = batch_.op();
-  const sp::BatchStats& bs = batch_.stats();
-  stats_.newtonIterations += bs.newtonIterations - seen_.newtonIterations;
-  stats_.matrixSolves += bs.matrixSolves - seen_.matrixSolves;
-  seen_ = bs;
-  for (size_t r = 0; r < R; ++r) {
-    if (!out[r].ok) continue;
-    sp::Solution s(&res.x[r]);
-    out[r].point.ic = ic;
-    out[r].point.vbe = vbe[r];
-    out[r].point.ft = q_[r]->opInfo(s).ft();
   }
   return out;
 }

@@ -2,23 +2,24 @@
 // Batched analytic fT measurement across a block of model cards — the
 // Monte-Carlo data plane behind the runner's `mc-ft` workload.
 //
-// The scalar path (FtExtractor::measureAnalyticAt) builds a fresh bias
-// circuit and Analyzer for EVERY bisection evaluation: ~17 circuit
-// constructions, pattern primings and symbolic analyses per die. A
-// Monte-Carlo block perturbs only the model card — the topology is the
-// same two-source/one-transistor cell for every die — so all of that
-// structure work is shared here through spice::ReplicaBatch, and the
-// bisection runs in masked lockstep: one batched operating point per
-// bisection step solves every still-active die at its own trial Vbe.
+// The scalar path (FtExtractor::measureAnalyticAt) builds one bias
+// circuit and Analyzer per die — circuit construction, pattern priming
+// and symbolic analysis — and then runs a BiasSearch over its operating
+// points. A Monte-Carlo block perturbs only the model card — the
+// topology is the same two-source/one-transistor cell for every die —
+// so all of that structure work is shared here through
+// spice::ReplicaBatch, and the per-die searches run in masked lockstep:
+// one batched operating point per step solves every still-searching die
+// at its own trial Vbe.
 //
 // Bit-identity contract: for the same `opts`, entry r of
 // measureAnalyticAt(ic) is bit-identical (ft, vbe hex-float equal) to
 // `FtExtractor(cards[r], vce, opts).measureAnalyticAt(ic)`, because
 // ReplicaBatch::op() reproduces a fresh Analyzer::op() bit-for-bit
-// and the per-die bisection trajectory (lo/hi/mid sequence, convergence
-// test) is the scalar code's. A die whose bias bracket rejects the target
-// reports ok = false with the scalar error text instead of throwing, so
-// one bad die does not take down the block.
+// and each die walks the same BiasSearch trajectory as the scalar code.
+// A die whose bias bracket rejects the target reports ok = false with
+// the scalar error text instead of throwing, so one bad die does not
+// take down the block.
 
 #include <string>
 #include <vector>
@@ -56,7 +57,7 @@ class BatchFtExtractor {
 
   int cardCount() const { return batch_.replicaCount(); }
 
-  /// Lockstep bisection for Vbe with ic(vbe) = ic, then fT from the
+  /// Lockstep BiasSearch for Vbe with ic(vbe) = ic, then fT from the
   /// operating-point formula — FtExtractor::measureAnalyticAt for every
   /// card at once. Throws on ic <= 0 (scalar contract); per-die bias
   /// bracket failures are reported in the outcome instead.
@@ -72,9 +73,6 @@ class BatchFtExtractor {
   void resetSolverStats() { stats_ = {}; }
 
  private:
-  /// One batched operating point; returns per-die collector current
-  /// (the -I(VC) readback of the scalar icAtVbe).
-  std::vector<double> icAll();
   void setVbe(int r, double vbe);
 
   double vce_;

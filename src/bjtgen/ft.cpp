@@ -1,6 +1,7 @@
 #include "bjtgen/ft.h"
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -12,10 +13,66 @@
 #include "spice/sources.h"
 #include "util/error.h"
 #include "util/numeric.h"
+#include "util/units.h"
 
 namespace ahfic::bjtgen {
 
 namespace sp = ahfic::spice;
+
+BiasSearch::BiasSearch(const spice::BjtModel& card, double icTarget)
+    : target_(icTarget) {
+  if (!(icTarget > 0.0)) throw Error("FtExtractor: ic must be > 0");
+  lnTarget_ = std::log(icTarget);
+  // The bias cell runs at the 27 C default temperature.
+  const double nfVt = card.nf * util::constants::thermalVoltage(27.0);
+  idealSlope_ = 1.0 / nfVt;
+  vbe_ = place(nfVt * std::log(icTarget / card.is));
+}
+
+double BiasSearch::place(double v) const {
+  if (v > lo_ && v < hi_) return v;  // NaN falls through to bisection
+  if (v <= lo_ && !loSolved_) return lo_;
+  if (v >= hi_ && !hiSolved_) return hi_;
+  return 0.5 * (lo_ + hi_);
+}
+
+BiasSearch::Status BiasSearch::report(double ic) {
+  if (status_ != Status::kSearching) return status_;
+  ++solves_;
+  const double v = vbe_;
+  // A first solve at a bracket end is the range check.
+  if ((v == lo_ && !loSolved_ && target_ <= ic) ||
+      (v == hi_ && !hiSolved_ && target_ >= ic))
+    return status_ = Status::kOutOfRange;
+  if (std::fabs(ic - target_) < 1e-3 * target_ || solves_ >= kMaxSolves)
+    return status_ = Status::kSolved;
+
+  if (ic < target_) {
+    lo_ = v;
+    loSolved_ = true;
+  } else {
+    hi_ = v;
+    hiSolved_ = true;
+  }
+  double next;
+  if (ic > 0.0) {
+    const double f = std::log(ic) - lnTarget_;
+    const double slope =
+        havePrev_ ? (f - prevF_) / (v - prevVbe_) : idealSlope_;
+    // A flat or inverted secant carries no step: bisect instead.
+    next = slope > 0.0 ? v - f / slope
+                       : std::numeric_limits<double>::quiet_NaN();
+    havePrev_ = true;
+    prevVbe_ = v;
+    prevF_ = f;
+  } else {
+    // No logarithm to step on; Ic is below the target, so head up.
+    next = std::numeric_limits<double>::infinity();
+    havePrev_ = false;
+  }
+  vbe_ = place(next);
+  return status_;
+}
 
 FtExtractor::FtExtractor(spice::BjtModel model, double vce,
                          spice::AnalysisOptions opts)
@@ -69,31 +126,29 @@ class FtExtractor::BiasCell {
   std::unique_ptr<sp::Analyzer> an_;
 };
 
-double FtExtractor::solveBias(BiasCell& cell, double icTarget) const {
-  if (icTarget <= 0.0) throw Error("FtExtractor: ic must be > 0");
-  auto icAt = [&](double vbe) {
-    const double ic = cell.collectorCurrent(cell.op(vbe));
+FtExtractor::Bias FtExtractor::solveBias(BiasCell& cell,
+                                         double icTarget) const {
+  BiasSearch search(model_, icTarget);
+  for (;;) {
+    std::vector<double> x = cell.op(search.vbe());
     absorb(cell.stats());
-    return ic;
-  };
-  double lo = 0.3, hi = 1.15;
-  double iLo = icAt(lo);
-  double iHi = icAt(hi);
-  if (icTarget <= iLo || icTarget >= iHi)
-    throw Error("FtExtractor: target current out of bias range");
-  for (int iter = 0; iter < 60; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    const double iMid = icAt(mid);
-    if (std::fabs(iMid - icTarget) < 1e-3 * icTarget) return mid;
-    if (iMid < icTarget)
-      lo = mid;
-    else
-      hi = mid;
+    switch (search.report(cell.collectorCurrent(x))) {
+      case BiasSearch::Status::kSearching:
+        break;
+      case BiasSearch::Status::kSolved:
+        return {search.vbe(), std::move(x)};
+      case BiasSearch::Status::kOutOfRange:
+        throw Error(BiasSearch::kOutOfRangeError);
+    }
   }
-  return 0.5 * (lo + hi);
 }
 
 FtPoint FtExtractor::measureAt(double ic) const {
+  BiasCell cell(model_, vce_, opts_);
+  return measureAt(cell, ic);
+}
+
+FtPoint FtExtractor::measureAt(BiasCell& cell, double ic) const {
   static const obs::Counter extractions =
       obs::counter("bjtgen.ft_extractions");
   extractions.add();
@@ -101,13 +156,12 @@ FtPoint FtExtractor::measureAt(double ic) const {
 
   FtPoint pt;
   pt.ic = ic;
-  BiasCell cell(model_, vce_, opts_);
-  pt.vbe = solveBias(cell, ic);
+  const Bias bias = solveBias(cell, ic);
+  pt.vbe = bias.vbe;
 
-  // Current-driven base reproducing the same operating point: ib from an
-  // OP of the voltage-driven cell at the solved bias.
-  const double ib = cell.baseCurrent(cell.op(pt.vbe));
-  absorb(cell.stats());
+  // Current-driven base reproducing the same operating point: ib from
+  // the voltage-driven cell's solve at the found bias.
+  const double ib = cell.baseCurrent(bias.x);
   if (ib <= 0.0) throw Error("FtExtractor: non-positive base current");
 
   sp::Circuit ckt;
@@ -172,10 +226,9 @@ FtPoint FtExtractor::measureAnalyticAt(double ic) const {
   FtPoint pt;
   pt.ic = ic;
   BiasCell cell(model_, vce_, opts_);
-  pt.vbe = solveBias(cell, ic);
-  const auto x = cell.op(pt.vbe);
-  absorb(cell.stats());
-  pt.ft = cell.transistor().opInfo(sp::Solution(&x)).ft();
+  const Bias bias = solveBias(cell, ic);
+  pt.vbe = bias.vbe;
+  pt.ft = cell.transistor().opInfo(sp::Solution(&bias.x)).ft();
   return pt;
 }
 
@@ -189,20 +242,27 @@ std::vector<FtPoint> FtExtractor::sweep(
 
 double FtExtractor::maxBiasCurrent() const {
   BiasCell cell(model_, vce_, opts_);
-  return cell.collectorCurrent(cell.op(1.15));
+  return maxBiasCurrent(cell);
+}
+
+double FtExtractor::maxBiasCurrent(BiasCell& cell) const {
+  return cell.collectorCurrent(cell.op(BiasSearch::kVbeMax));
 }
 
 FtPeak FtExtractor::findPeak(double icMin, double icMax, int points) const {
   if (!(icMin > 0.0) || icMax <= icMin || points < 3)
     throw Error("FtExtractor::findPeak: bad scan range");
-  icMax = std::min(icMax, 0.9 * maxBiasCurrent());
+  // One cell serves the whole scan: a reused cell's op() equals a fresh
+  // one bit for bit.
+  BiasCell cell(model_, vce_, opts_);
+  icMax = std::min(icMax, 0.9 * maxBiasCurrent(cell));
   if (icMax <= icMin)
     throw Error("FtExtractor::findPeak: range above device capability");
   std::vector<double> ics, fts;
   const double ratio = std::pow(icMax / icMin, 1.0 / (points - 1));
   double ic = icMin;
   for (int i = 0; i < points; ++i, ic *= ratio) {
-    const auto pt = measureAt(ic);
+    const auto pt = measureAt(cell, ic);
     ics.push_back(pt.ic);
     fts.push_back(pt.ft);
   }

@@ -151,13 +151,16 @@ void HttpServer::stop() {
     stopping_.store(true);
   }
 
-  // Unblock accept() by shutting the listening socket down.
+  // Unblock accept() by shutting the listening socket down, and close it
+  // only once the acceptor has exited: acceptLoop() reads listenFd_, and
+  // a closed descriptor number could be reused by another socket before
+  // accept() returns.
+  if (listenFd_ >= 0) ::shutdown(listenFd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   if (listenFd_ >= 0) {
-    ::shutdown(listenFd_, SHUT_RDWR);
     ::close(listenFd_);
     listenFd_ = -1;
   }
-  if (acceptor_.joinable()) acceptor_.join();
 
   connCv_.notifyAll();
   for (std::thread& t : workers_) t.join();

@@ -257,5 +257,10 @@ TEST(BatchFtExtractorTest, OutOfRangeDieReportsScalarErrorWithoutThrowing) {
     EXPECT_FALSE(die.ok);
     EXPECT_EQ(die.error, "FtExtractor: target current out of bias range");
   }
+  // Below Ic(0.3 V) of every die: the low bracket end rejects it alike.
+  for (const auto& die : bx.measureAnalyticAt(1e-18)) {
+    EXPECT_FALSE(die.ok);
+    EXPECT_EQ(die.error, "FtExtractor: target current out of bias range");
+  }
   EXPECT_THROW(bx.measureAnalyticAt(0.0), ahfic::Error);
 }
