@@ -19,6 +19,7 @@
 #include "obs/cli.h"
 #include "spice/bjt.h"
 #include "spice/circuit.h"
+#include "util/error.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -42,7 +43,11 @@ sp::BjtModel baselineCard(const bg::ModelGenerator& gen, double area) {
 
 int main(int argc, char** argv) {
   ahfic::obs::CliOptions obsOpts;
-  for (int k = 1; k < argc; ++k) obsOpts.consume(argc, argv, k);
+  try {
+    for (int k = 1; k < argc; ++k) obsOpts.consume(argc, argv, k);
+  } catch (const ahfic::Error& e) {
+    return ahfic::obs::usageError(std::cerr, argv[0], e.what(), "");
+  }
   obsOpts.begin();
 
   const auto gen = bg::ModelGenerator::withDefaultTechnology();

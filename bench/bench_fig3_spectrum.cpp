@@ -15,6 +15,7 @@
 #include "obs/cli.h"
 #include "tuner/doublesuper.h"
 #include "tuner/irr.h"
+#include "util/error.h"
 #include "util/fft.h"
 #include "util/numeric.h"
 #include "util/table.h"
@@ -70,7 +71,11 @@ ChainResult measureChain(bool imageReject) {
 
 int main(int argc, char** argv) {
   ahfic::obs::CliOptions obsOpts;
-  for (int k = 1; k < argc; ++k) obsOpts.consume(argc, argv, k);
+  try {
+    for (int k = 1; k < argc; ++k) obsOpts.consume(argc, argv, k);
+  } catch (const ahfic::Error& e) {
+    return ahfic::obs::usageError(std::cerr, argv[0], e.what(), "");
+  }
   obsOpts.begin();
 
   tn::FrequencyPlan plan;

@@ -1,21 +1,15 @@
-// Batched Monte-Carlo data-plane ablation: the scalar fT pipeline (one
+// Batched Monte-Carlo data plane: the scalar fT pipeline (one
 // FtExtractor per die, its own circuit + pattern priming + symbolic
 // analysis, one operating point per BiasSearch step) against
-// spice::ReplicaBatch via BatchFtExtractor, with each speedup step
-// measured on its own:
+// spice::ReplicaBatch via BatchFtExtractor (one shared symbolic
+// analysis, batched device evaluation, per-replica refactor replay),
+// plus the binary "ahfic-wave-v1" payload vs the equivalent JSON
+// document.
 //
-//   1. shared structure + batched device evaluation (but every
-//      Newton iteration pays a pivoting full factorization),
-//   2. batched refactorization replay on top of (1),
-//   3. binary "ahfic-wave-v1" payload vs the equivalent JSON document.
-//
-// Every batched column is checked bit-identical (hex-float compare of
-// vbe and ft) against the scalar reference for the same seeds.
-// The "batched" column must match; "batched-full-factor" is NOT expected
-// to — re-pivoting every iteration picks different pivots than the
-// replayed first-iteration sequence the scalar path uses, so it differs
-// in the last ulp. Emits BENCH_mc_batch.json; --json additionally prints
-// the enveloped document to stdout for CI gating.
+// The batched column is checked bit-identical (hex-float compare of vbe
+// and ft) against the scalar reference for the same seeds. Emits
+// BENCH_mc_batch.json; --json additionally prints the enveloped document
+// to stdout for CI gating.
 //
 // Usage: bench_mc_batch [--out FILE] [--dies N] [--ic A] [--shape NAME]
 //                       [--seed N] [--reps N] [--json]
@@ -124,13 +118,12 @@ Column runScalar(const std::vector<sp::BjtModel>& cards, double ic,
   return col;
 }
 
-Column runBatched(const std::string& name,
-                  const std::vector<sp::BjtModel>& cards, double ic,
-                  const sp::AnalysisOptions& opts, bool forceFullFactor) {
+Column runBatched(const std::vector<sp::BjtModel>& cards, double ic,
+                  const sp::AnalysisOptions& opts) {
   Column col;
-  col.name = name;
+  col.name = "batched";
   const auto t0 = std::chrono::steady_clock::now();
-  bg::BatchFtExtractor bx(cards, 2.0, opts, forceFullFactor);
+  bg::BatchFtExtractor bx(cards, 2.0, opts);
   const auto block = bx.measureAnalyticAt(ic);
   col.wallMs = msSince(t0);
   col.newtonIterations = bx.solverStats().newtonIterations;
@@ -169,22 +162,29 @@ int main(int argc, char** argv) {
   int reps = 3;
   bool jsonOut = false;
   ahfic::obs::CliOptions obsOpts;
-  for (int k = 1; k < argc; ++k) {
-    if (obsOpts.consume(argc, argv, k)) continue;
-    if (std::strcmp(argv[k], "--out") == 0 && k + 1 < argc)
-      outPath = argv[++k];
-    else if (std::strcmp(argv[k], "--dies") == 0 && k + 1 < argc)
-      dies = std::atoi(argv[++k]);
-    else if (std::strcmp(argv[k], "--ic") == 0 && k + 1 < argc)
-      ic = std::atof(argv[++k]);
-    else if (std::strcmp(argv[k], "--shape") == 0 && k + 1 < argc)
-      shape = argv[++k];
-    else if (std::strcmp(argv[k], "--seed") == 0 && k + 1 < argc)
-      seed = std::strtoull(argv[++k], nullptr, 0);
-    else if (std::strcmp(argv[k], "--reps") == 0 && k + 1 < argc)
-      reps = std::atoi(argv[++k]);
-    else if (std::strcmp(argv[k], "--json") == 0)
-      jsonOut = true;
+  try {
+    for (int k = 1; k < argc; ++k) {
+      if (obsOpts.consume(argc, argv, k)) continue;
+      if (std::strcmp(argv[k], "--out") == 0 && k + 1 < argc)
+        outPath = argv[++k];
+      else if (std::strcmp(argv[k], "--dies") == 0)
+        dies = ahfic::obs::countArg(argc, argv, k);
+      else if (std::strcmp(argv[k], "--ic") == 0 && k + 1 < argc)
+        ic = std::atof(argv[++k]);
+      else if (std::strcmp(argv[k], "--shape") == 0 && k + 1 < argc)
+        shape = argv[++k];
+      else if (std::strcmp(argv[k], "--seed") == 0 && k + 1 < argc)
+        seed = std::strtoull(argv[++k], nullptr, 0);
+      else if (std::strcmp(argv[k], "--reps") == 0)
+        reps = ahfic::obs::countArg(argc, argv, k);
+      else if (std::strcmp(argv[k], "--json") == 0)
+        jsonOut = true;
+    }
+  } catch (const ahfic::Error& e) {
+    return ahfic::obs::usageError(
+        std::cerr, argv[0], e.what(),
+        "[--out FILE] [--dies N] [--ic A] [--shape NAME] [--seed N] "
+        "[--reps N] [--json]");
   }
   obsOpts.begin();
   std::ostream& os = jsonOut ? std::cerr : std::cout;
@@ -198,23 +198,18 @@ int main(int argc, char** argv) {
 
   // Best-of-reps wall time: the results are deterministic rep to rep, so
   // the minimum is the least-noisy throughput estimate on a shared host.
-  if (reps < 1) reps = 1;
   Column scalar = runScalar(cards, ic, opts);
-  Column batchedFf = runBatched("batched-full-factor", cards, ic, opts, true);
-  Column batched = runBatched("batched", cards, ic, opts, false);
+  Column batched = runBatched(cards, ic, opts);
   for (int k = 1; k < reps; ++k) {
     scalar.wallMs = std::min(scalar.wallMs, runScalar(cards, ic, opts).wallMs);
-    batchedFf.wallMs = std::min(
-        batchedFf.wallMs,
-        runBatched("batched-full-factor", cards, ic, opts, true).wallMs);
-    batched.wallMs = std::min(
-        batched.wallMs, runBatched("batched", cards, ic, opts, false).wallMs);
+    batched.wallMs =
+        std::min(batched.wallMs, runBatched(cards, ic, opts).wallMs);
   }
 
   u::Table table({"pipeline", "wall [ms]", "dies/s", "speedup",
                   "newton iters", "bit-identical"});
   u::JsonValue cols = u::JsonValue::array();
-  for (const Column* col : {&scalar, &batchedFf, &batched}) {
+  for (const Column* col : {&scalar, &batched}) {
     const double diesPerSec =
         col->wallMs > 0.0 ? dies / (col->wallMs * 1e-3) : 0.0;
     const double speedup =
@@ -245,17 +240,7 @@ int main(int argc, char** argv) {
   table.print(os);
   os << "\n";
 
-  // Ablation: each step's own contribution.
-  const double soaSpeedup =
-      batchedFf.wallMs > 0.0 ? scalar.wallMs / batchedFf.wallMs : 0.0;
-  const double replaySpeedup =
-      batched.wallMs > 0.0 ? batchedFf.wallMs / batched.wallMs : 0.0;
-  os << "ablation: shared structure + batch eval "
-     << u::fixed(soaSpeedup, 2) << "x\n"
-     << "          refactorization replay         "
-     << u::fixed(replaySpeedup, 2) << "x (on top)\n\n";
-
-  // Step 3: the waveform payload, binary vs JSON, on the batched result.
+  // The waveform payload, binary vs JSON, on the batched result.
   const u::WaveTable wave = waveOf(batched, ic);
   const int waveReps = 512;
   const auto tb0 = std::chrono::steady_clock::now();
@@ -297,18 +282,6 @@ int main(int argc, char** argv) {
   doc.set("ic", ic);
   doc.set("seed", static_cast<double>(seed));
   doc.set("columns", std::move(cols));
-  u::JsonValue abl = u::JsonValue::array();
-  {
-    u::JsonValue s1 = u::JsonValue::object();
-    s1.set("step", "shared-structure+soa-eval");
-    s1.set("speedup", soaSpeedup);
-    abl.push(std::move(s1));
-    u::JsonValue s2 = u::JsonValue::object();
-    s2.set("step", "refactor-replay");
-    s2.set("speedup", replaySpeedup);
-    abl.push(std::move(s2));
-  }
-  doc.set("ablation", std::move(abl));
   u::JsonValue wv = u::JsonValue::object();
   wv.set("binaryBytes", static_cast<double>(bytes.size()));
   wv.set("jsonBytes", static_cast<double>(jsonText.size()));

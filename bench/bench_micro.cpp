@@ -33,6 +33,7 @@
 #include "spice/solution.h"
 #include "spice/sparse_lu.h"
 #include "spice/stamp.h"
+#include "util/error.h"
 #include "util/fft.h"
 #include "util/json.h"
 #include "util/numeric.h"
@@ -417,9 +418,6 @@ int runSolverAblation(const std::string& outPath) {
   for (const BenchCircuit& bc : benchCircuits) {
     int unknowns = 0;
     const auto sparse = runCircuit(bc, &unknowns);
-    // Solver-only comparison at this circuit's exact unknown count, so
-    // the kernel-level ratio is attributable to the bench circuit.
-    const auto solverOnly = solverKernel(unknowns);
     const double deviceEvalNs = measureDeviceEvalNs(bc);
 
     const std::string& name = bc.name;
@@ -438,15 +436,6 @@ int runSolverAblation(const std::string& outPath) {
     u::JsonValue backends = u::JsonValue::object();
     backends.set("sparse", backendJson(sparse));
     c.set("backends", std::move(backends));
-    u::JsonValue so = u::JsonValue::object();
-    so.set("denseNs", solverOnly.denseNs);
-    so.set("sparseNs", solverOnly.sparseNs());
-    so.set("nnz", static_cast<double>(solverOnly.nnz));
-    so.set("nnzLU", static_cast<double>(solverOnly.nnzLU));
-    so.set("ratioVsDense", solverOnly.denseNs > 0.0
-                               ? solverOnly.sparseNs() / solverOnly.denseNs
-                               : 0.0);
-    c.set("solverOnly", std::move(so));
     circuits.push(std::move(c));
   }
   doc.set("circuits", std::move(circuits));
@@ -468,13 +457,19 @@ int main(int argc, char** argv) {
   ahfic::obs::CliOptions obsOpts;
   std::string solverJson;
   std::vector<char*> rest = {argv[0]};
-  for (int k = 1; k < argc; ++k) {
-    if (obsOpts.consume(argc, argv, k)) continue;
-    if (std::strcmp(argv[k], "--solver-json") == 0 && k + 1 < argc) {
-      solverJson = argv[++k];
-      continue;
+  try {
+    for (int k = 1; k < argc; ++k) {
+      if (obsOpts.consume(argc, argv, k)) continue;
+      if (std::strcmp(argv[k], "--solver-json") == 0 && k + 1 < argc) {
+        solverJson = argv[++k];
+        continue;
+      }
+      rest.push_back(argv[k]);
     }
-    rest.push_back(argv[k]);
+  } catch (const ahfic::Error& e) {
+    return ahfic::obs::usageError(
+        std::cerr, argv[0], e.what(),
+        "[--solver-json FILE] [--benchmark_... flags]");
   }
   obsOpts.begin();
 

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "runner/engine.h"
 #include "runner/workloads.h"
 #include "tuner/irr.h"
+#include "util/error.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -40,12 +40,17 @@ int main(int argc, char** argv) {
   int jobs = 0;
   int dies = 9;
   ahfic::obs::CliOptions obsOpts;
-  for (int k = 1; k < argc; ++k) {
-    if (obsOpts.consume(argc, argv, k)) continue;
-    if (std::strcmp(argv[k], "--jobs") == 0 && k + 1 < argc)
-      jobs = std::atoi(argv[++k]);
-    else if (std::strcmp(argv[k], "--dies") == 0 && k + 1 < argc)
-      dies = std::atoi(argv[++k]);
+  try {
+    for (int k = 1; k < argc; ++k) {
+      if (obsOpts.consume(argc, argv, k)) continue;
+      if (std::strcmp(argv[k], "--jobs") == 0)
+        jobs = ahfic::obs::countArg(argc, argv, k);
+      else if (std::strcmp(argv[k], "--dies") == 0)
+        dies = ahfic::obs::countArg(argc, argv, k);
+    }
+  } catch (const ahfic::Error& e) {
+    return ahfic::obs::usageError(std::cerr, argv[0], e.what(),
+                                  "[--jobs N] [--dies N]");
   }
   obsOpts.begin();
 

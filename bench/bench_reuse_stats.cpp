@@ -12,6 +12,7 @@
 #include "celldb/reuse.h"
 #include "celldb/seed.h"
 #include "obs/cli.h"
+#include "util/error.h"
 #include "util/table.h"
 
 namespace cd = ahfic::celldb;
@@ -19,7 +20,11 @@ namespace u = ahfic::util;
 
 int main(int argc, char** argv) {
   ahfic::obs::CliOptions obsOpts;
-  for (int k = 1; k < argc; ++k) obsOpts.consume(argc, argv, k);
+  try {
+    for (int k = 1; k < argc; ++k) obsOpts.consume(argc, argv, k);
+  } catch (const ahfic::Error& e) {
+    return ahfic::obs::usageError(std::cerr, argv[0], e.what(), "");
+  }
   obsOpts.begin();
 
   cd::CellDatabase db;

@@ -7,7 +7,6 @@
 //                             [--trace FILE] [--metrics FILE]
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -19,6 +18,7 @@
 #include "obs/cli.h"
 #include "runner/engine.h"
 #include "runner/workloads.h"
+#include "util/error.h"
 #include "util/json.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -75,12 +75,17 @@ int main(int argc, char** argv) {
   std::string outPath = "BENCH_runner_scaling.json";
   int dies = 64;
   ahfic::obs::CliOptions obsOpts;
-  for (int k = 1; k < argc; ++k) {
-    if (obsOpts.consume(argc, argv, k)) continue;
-    if (std::strcmp(argv[k], "--out") == 0 && k + 1 < argc)
-      outPath = argv[++k];
-    else if (std::strcmp(argv[k], "--dies") == 0 && k + 1 < argc)
-      dies = std::atoi(argv[++k]);
+  try {
+    for (int k = 1; k < argc; ++k) {
+      if (obsOpts.consume(argc, argv, k)) continue;
+      if (std::strcmp(argv[k], "--out") == 0 && k + 1 < argc)
+        outPath = argv[++k];
+      else if (std::strcmp(argv[k], "--dies") == 0)
+        dies = ahfic::obs::countArg(argc, argv, k);
+    }
+  } catch (const ahfic::Error& e) {
+    return ahfic::obs::usageError(std::cerr, argv[0], e.what(),
+                                  "[--out FILE] [--dies N]");
   }
   obsOpts.begin();
 

@@ -12,7 +12,6 @@
 //                              [--trace FILE] [--metrics FILE]
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -24,6 +23,7 @@
 #include "obs/cli.h"
 #include "runner/engine.h"
 #include "runner/workloads.h"
+#include "util/error.h"
 #include "util/json.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -36,12 +36,17 @@ int main(int argc, char** argv) {
   int jobs = 0;
   std::string jsonPath;
   ahfic::obs::CliOptions obsOpts;
-  for (int k = 1; k < argc; ++k) {
-    if (obsOpts.consume(argc, argv, k)) continue;
-    if (std::strcmp(argv[k], "--jobs") == 0 && k + 1 < argc)
-      jobs = std::atoi(argv[++k]);
-    else if (std::strcmp(argv[k], "--json") == 0 && k + 1 < argc)
-      jsonPath = argv[++k];
+  try {
+    for (int k = 1; k < argc; ++k) {
+      if (obsOpts.consume(argc, argv, k)) continue;
+      if (std::strcmp(argv[k], "--jobs") == 0)
+        jobs = ahfic::obs::countArg(argc, argv, k);
+      else if (std::strcmp(argv[k], "--json") == 0 && k + 1 < argc)
+        jsonPath = argv[++k];
+    }
+  } catch (const ahfic::Error& e) {
+    return ahfic::obs::usageError(std::cerr, argv[0], e.what(),
+                                  "[--jobs N] [--json FILE]");
   }
   obsOpts.begin();
 

@@ -126,7 +126,16 @@ int main(int argc, char** argv) {
   obs::CliOptions obsOpts;
 
   for (int k = 1; k < argc; ++k) {
-    if (obsOpts.consume(argc, argv, k)) continue;
+    try {
+      if (obsOpts.consume(argc, argv, k)) continue;
+    } catch (const ahfic::Error& e) {
+      return obs::usageError(
+          std::cerr, argv[0], e.what(),
+          "[--port N] [--workers N] [--queue-depth N] [--connections N] "
+          "[--celldb PATH] [--seed-celldb] [--metrics-interval SEC] "
+          "[--drain-timeout SEC] [--log-level LEVEL] [--log-json FILE] "
+          "[--history-interval SEC] [--history-capacity N]");
+    }
     if (std::strcmp(argv[k], "--port") == 0)
       serverOpts.port = intArg(argc, argv, k, "--port");
     else if (std::strcmp(argv[k], "--workers") == 0)

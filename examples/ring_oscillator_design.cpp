@@ -10,7 +10,6 @@
 // Steps 3 and 4 are independent per shape, so both run as batches on the
 // job engine. Usage: ring_oscillator_design [--jobs N]
 
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <vector>
@@ -18,8 +17,10 @@
 #include "bjtgen/ft.h"
 #include "bjtgen/generator.h"
 #include "bjtgen/ringosc.h"
+#include "obs/cli.h"
 #include "runner/engine.h"
 #include "runner/workloads.h"
+#include "util/error.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -29,9 +30,14 @@ namespace u = ahfic::util;
 
 int main(int argc, char** argv) {
   int jobs = 0;
-  for (int k = 1; k < argc; ++k) {
-    if (std::strcmp(argv[k], "--jobs") == 0 && k + 1 < argc)
-      jobs = std::atoi(argv[++k]);
+  try {
+    for (int k = 1; k < argc; ++k)
+      if (std::strcmp(argv[k], "--jobs") == 0)
+        jobs = ahfic::obs::countArg(argc, argv, k);
+  } catch (const ahfic::Error& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\nusage: " << argv[0]
+              << " [--jobs N]\n";
+    return 2;
   }
 
   const auto gen = bg::ModelGenerator::withDefaultTechnology();

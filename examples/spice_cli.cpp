@@ -22,7 +22,6 @@
 // `--explain` prints the same reports human-readably on stderr. Both
 // flags work for single decks and batches.
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -34,6 +33,7 @@
 #include "runner/engine.h"
 #include "spice/forensics.h"
 #include "spice/rundeck.h"
+#include "util/error.h"
 #include "util/json.h"
 
 namespace rn = ahfic::runner;
@@ -91,22 +91,29 @@ int main(int argc, char** argv) {
   std::string diagPath;
   ahfic::obs::CliOptions obsOpts;
   std::vector<std::string> deckPaths;
-  for (int k = 1; k < argc; ++k) {
-    if (obsOpts.consume(argc, argv, k)) continue;
-    if (std::strcmp(argv[k], "--jobs") == 0 && k + 1 < argc)
-      jobs = std::atoi(argv[++k]);
-    else if (std::strcmp(argv[k], "--lint") == 0)
-      lintOnly = true;
-    else if (std::strcmp(argv[k], "--lint-json") == 0 && k + 1 < argc) {
-      lintOnly = true;
-      lintJsonPath = argv[++k];
-    } else if (std::strcmp(argv[k], "--diag") == 0 && k + 1 < argc)
-      diagPath = argv[++k];
-    else if (std::strcmp(argv[k], "--explain") == 0)
-      explain = true;
-    else {
-      deckPaths.emplace_back(argv[k]);
+  try {
+    for (int k = 1; k < argc; ++k) {
+      if (obsOpts.consume(argc, argv, k)) continue;
+      if (std::strcmp(argv[k], "--jobs") == 0)
+        jobs = ahfic::obs::countArg(argc, argv, k);
+      else if (std::strcmp(argv[k], "--lint") == 0)
+        lintOnly = true;
+      else if (std::strcmp(argv[k], "--lint-json") == 0 && k + 1 < argc) {
+        lintOnly = true;
+        lintJsonPath = argv[++k];
+      } else if (std::strcmp(argv[k], "--diag") == 0 && k + 1 < argc)
+        diagPath = argv[++k];
+      else if (std::strcmp(argv[k], "--explain") == 0)
+        explain = true;
+      else {
+        deckPaths.emplace_back(argv[k]);
+      }
     }
+  } catch (const ahfic::Error& e) {
+    return ahfic::obs::usageError(
+        std::cerr, argv[0], e.what(),
+        "[--jobs N] [--lint] [--lint-json FILE] [--diag FILE] [--explain] "
+        "[deck ...]");
   }
   const bool wantDiag = !diagPath.empty() || explain;
   obsOpts.begin();

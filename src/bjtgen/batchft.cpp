@@ -13,8 +13,7 @@ namespace ahfic::bjtgen {
 namespace sp = ahfic::spice;
 
 BatchFtExtractor::BatchFtExtractor(std::vector<spice::BjtModel> cards,
-                                   double vce, spice::AnalysisOptions opts,
-                                   bool forceFullFactor)
+                                   double vce, spice::AnalysisOptions opts)
     : vce_(vce),
       batch_([&] {
         if (vce <= 0.0) throw Error("BatchFtExtractor: vce must be > 0");
@@ -34,7 +33,6 @@ BatchFtExtractor::BatchFtExtractor(std::vector<spice::BjtModel> cards,
         }
         sp::ReplicaBatch::Options bo;
         bo.analysis = opts;
-        bo.forceFullFactor = forceFullFactor;
         return sp::ReplicaBatch(std::move(replicas), bo);
       }()) {
   const int R = batch_.replicaCount();

@@ -7,8 +7,9 @@
 // and symbolic analysis — and then runs a BiasSearch over its operating
 // points. A Monte-Carlo block perturbs only the model card — the
 // topology is the same two-source/one-transistor cell for every die —
-// so all of that structure work is shared here through
-// spice::ReplicaBatch, and the per-die searches run in masked lockstep:
+// so here the symbolic analysis is shared through spice::ReplicaBatch,
+// device evaluation runs across the block, and the per-die searches run
+// in masked lockstep:
 // one batched operating point per step solves every still-searching die
 // at its own trial Vbe.
 //
@@ -42,18 +43,17 @@ struct BatchFtPoint {
 };
 
 /// Measures analytic fT of a block of model cards biased at Vce, sharing
-/// circuit structure across the block. Construction cost is one pattern
-/// priming + one symbolic analysis for the whole block; per measurement
-/// each die pays numeric work only.
+/// circuit structure across the block. Construction primes one pattern
+/// per card and runs one symbolic analysis for the whole block; per
+/// measurement each die pays numeric work only.
 class BatchFtExtractor {
  public:
-  /// `forceFullFactor` disables the shared-structure refactorization
-  /// replay (every Newton iteration pays a pivoting factorization) — an
-  /// ablation knob for bench_mc_batch, not a production option.
+  /// One bias cell per card (the scalar FtExtractor's VB, VC, Q1
+  /// circuit) in one spice::ReplicaBatch, solved under `opts`. Throws on
+  /// vce <= 0 or an empty card list.
   explicit BatchFtExtractor(std::vector<spice::BjtModel> cards,
                             double vce = 2.0,
-                            spice::AnalysisOptions opts = {},
-                            bool forceFullFactor = false);
+                            spice::AnalysisOptions opts = {});
 
   int cardCount() const { return batch_.replicaCount(); }
 

@@ -1,5 +1,8 @@
 #include "obs/cli.h"
 
+#include <cerrno>
+#include <climits>
+#include <cstdlib>
 #include <cstring>
 #include <ostream>
 
@@ -25,6 +28,26 @@ bool CliOptions::consume(int argc, char** argv, int& k) {
     throw Error(std::string("obs: ") + arg + " requires a FILE argument");
   *target = argv[++k];
   return true;
+}
+
+int countArg(int argc, char** argv, int& k) {
+  const std::string flag = argv[k];
+  if (k + 1 >= argc) throw Error(flag + " requires a value");
+  const char* text = argv[++k];
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < 1 ||
+      v > INT_MAX)
+    throw Error(flag + " wants a whole number >= 1, got '" + text + "'");
+  return static_cast<int>(v);
+}
+
+int usageError(std::ostream& os, const char* argv0, const std::string& why,
+               const char* flags) {
+  os << argv0 << ": " << why << "\nusage: " << argv0 << " " << flags
+     << (*flags != '\0' ? " " : "") << CliOptions::usage() << "\n";
+  return 2;
 }
 
 void CliOptions::begin() const {

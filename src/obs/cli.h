@@ -12,9 +12,13 @@
 //
 // Usage:
 //   obs::CliOptions obsOpts;
-//   for (int k = 1; k < argc; ++k) {
-//     if (obsOpts.consume(argc, argv, k)) continue;
-//     ... tool-specific flags ...
+//   try {
+//     for (int k = 1; k < argc; ++k) {
+//       if (obsOpts.consume(argc, argv, k)) continue;
+//       ... tool-specific flags (obs::countArg for --jobs N) ...
+//     }
+//   } catch (const ahfic::Error& e) {
+//     return obs::usageError(std::cerr, argv[0], e.what(), "[--jobs N]");
 //   }
 //   obsOpts.begin();
 //   ... workload ...
@@ -54,6 +58,16 @@ struct CliOptions {
     return "[--trace FILE] [--metrics FILE] [--profile FILE]";
   }
 };
+
+/// Reads the value of the count flag at argv[k] (e.g. `--jobs N`) and
+/// advances `k` past it. Throws ahfic::Error unless the value is a whole
+/// decimal number >= 1.
+int countArg(int argc, char** argv, int& k);
+
+/// Prints `why` and one usage line — `usage: ARGV0 FLAGS` followed by
+/// the obs flags — to `os`, and returns the usage-error exit code 2.
+int usageError(std::ostream& os, const char* argv0, const std::string& why,
+               const char* flags);
 
 /// Prints the observability summary — top spans by cumulative time and
 /// the non-zero metrics tables — to `os`. No output when nothing was

@@ -1,7 +1,6 @@
 #include "spice/analysis.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <memory>
 
@@ -11,19 +10,6 @@
 #include "spice/forensics.h"
 #include "spice/sources.h"
 #include "util/error.h"
-
-namespace {
-
-/// Monotonic nanoseconds for the solver-phase histograms; only sampled
-/// when metrics are enabled, so the hot path stays clock-free.
-double nowNs() {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 namespace ahfic::spice {
 
@@ -86,129 +72,47 @@ std::vector<double> linspace(double start, double stop, int points) {
 Analyzer::~Analyzer() = default;
 
 Analyzer::Analyzer(Circuit& ckt, AnalysisOptions opts)
-    : ckt_(ckt), opts_(opts) {
-  buildLayout();
+    : ckt_(ckt), opts_(opts), core_(ckt) {
   if (opts_.forensics) {
     fx_ = std::make_unique<ForensicsRecorder>(opts_.forensicsDepth);
     // Any diag report born from this analyzer names its request.
     if (!opts_.traceId.empty()) fx_->setContext("trace_id", opts_.traceId);
   }
-  // Priming mutates junction-limiting history (loads run at zero bias),
-  // so it happens here — before any solve seeds that history via
-  // beginSolve — rather than lazily inside the first Newton iteration.
-  primeSparsePattern();
-}
-
-void Analyzer::buildLayout() {
-  int nextBranch = ckt_.nodeCount();
-  int nextState = 0;
-  for (const auto& dev : ckt_.devices()) {
-    if (dev->branchCount() > 0) {
-      dev->assignBranchBase(nextBranch);
-      nextBranch += dev->branchCount();
-    }
-    if (dev->stateCount() > 0) {
-      dev->assignStateBase(nextState);
-      nextState += dev->stateCount();
-    }
-    if (dev->isNonlinear()) {
-      nonlinearDevs_.push_back(dev.get());
-    } else {
-      linearDevs_.push_back(dev.get());
-      if (!dev->matrixOnly()) rhsDevs_.push_back(dev.get());
-    }
-  }
-  unknownCount_ = nextBranch - 1;  // ground excluded
-  stateCount_ = nextState;
-  state_.assign(static_cast<size_t>(stateCount_), 0.0);
-  statePrev_.assign(static_cast<size_t>(stateCount_), 0.0);
-  dstatePrev_.assign(static_cast<size_t>(stateCount_), 0.0);
-}
-
-void Analyzer::primeSparsePattern() {
-  // Run every device through a position recorder twice — once under a DC
-  // context, once under a transient one (c0 = 1) — so conditional stamps
-  // (capacitor companions, inductor geq, junction charge branches) all
-  // land in the pattern before the first assemble. Scratch state vectors
-  // keep the real charge history untouched.
-  std::vector<std::pair<int, int>> entries;
-  PatternStamper ps(entries);
-  std::vector<double> zeros(static_cast<size_t>(unknownCount_), 0.0);
-  Solution sx(&zeros);
-  std::vector<double> st(static_cast<size_t>(stateCount_), 0.0);
-  std::vector<double> stPrev(static_cast<size_t>(stateCount_), 0.0);
-  std::vector<double> dstPrev(static_cast<size_t>(stateCount_), 0.0);
-  LoadContext ctx;
-  ctx.state = &st;
-  ctx.prevState = &stPrev;
-  ctx.prevDstate = &dstPrev;
-  ctx.mode = AnalysisMode::kDcOp;
-  ctx.c0 = 0.0;
-  for (const auto& dev : ckt_.devices()) dev->load(ps, sx, ctx);
-  ctx.mode = AnalysisMode::kTransient;
-  ctx.c0 = 1.0;
-  for (const auto& dev : ckt_.devices()) dev->load(ps, sx, ctx);
-  pat_.build(unknownCount_, std::move(entries));
-  staticValid_ = false;
-}
-
-void Analyzer::growSparsePattern(CsrPattern& pat,
-                                 std::vector<std::pair<int, int>>& pending) {
-  // A device stamped a position the priming pass did not predict: fold
-  // it in and restamp. Counted so the regression suite can assert the
-  // steady state performs none.
-  stats_.sparsePatternInserts += static_cast<long>(pat.grow(pending));
-  pending.clear();
-  staticValid_ = false;
-}
-
-void Analyzer::prepareSparseStatic(const Solution& x,
-                                   const LoadContext& ctx) {
-  if (staticValid_ && staticEpoch_ == pat_.epoch() && staticC0_ == ctx.c0)
-    return;
-  for (;;) {
-    staticVals_.assign(pat_.nonzeros(), 0.0);
-    scratchRhs_.assign(static_cast<size_t>(unknownCount_), 0.0);
-    pending_.clear();
-    CsrStamper cs(pat_, staticVals_, scratchRhs_, &pending_);
-    for (Device* dev : linearDevs_) dev->load(cs, x, ctx);
-    if (pending_.empty()) break;
-    growSparsePattern(pat_, pending_);
-  }
-  staticValid_ = true;
-  staticEpoch_ = pat_.epoch();
-  staticC0_ = ctx.c0;
+  const auto states = static_cast<size_t>(core_.stateCount());
+  state_.assign(states, 0.0);
+  statePrev_.assign(states, 0.0);
+  dstatePrev_.assign(states, 0.0);
 }
 
 bool Analyzer::sparseIterate(const Solution& x, const LoadContext& ctx,
                              std::vector<double>& xNew) {
   ++stats_.matrixSolves;
   const bool timed = obs::metricsEnabled();
-  const double tAssemble = timed ? nowNs() : 0.0;
+  const double tAssemble = timed ? MnaCore::nowNs() : 0.0;
   double deviceNs = 0.0;
   for (;;) {
     // Static baseline (linear-device matrix stamps) lands via memcpy;
     // linear devices with RHS or state work then contribute only that
     // (matrix-only ones are done), and nonlinear devices restamp in full
     // through their slot memos.
-    prepareSparseStatic(x, ctx);
-    vals_ = staticVals_;
-    rhs_.assign(static_cast<size_t>(unknownCount_), 0.0);
-    const double tDevice = timed ? nowNs() : 0.0;
+    stats_.sparsePatternInserts += core_.prepareStatic(x, ctx);
+    vals_ = core_.staticValues();
+    rhs_.assign(static_cast<size_t>(unknownCount()), 0.0);
+    const double tDevice = timed ? MnaCore::nowNs() : 0.0;
     RhsOnlyStamper rhsOnly(rhs_);
-    for (Device* dev : rhsDevs_) dev->load(rhsOnly, x, ctx);
-    CsrStamper cs(pat_, vals_, rhs_, &pending_);
-    for (Device* dev : nonlinearDevs_) dev->load(cs, x, ctx);
-    if (timed) deviceNs += nowNs() - tDevice;
+    for (Device* dev : core_.rhsDevices()) dev->load(rhsOnly, x, ctx);
+    CsrStamper cs(core_.pattern(), vals_, rhs_, &pending_);
+    for (Device* dev : core_.nonlinearDevices()) dev->load(cs, x, ctx);
+    if (timed) deviceNs += MnaCore::nowNs() - tDevice;
     if (pending_.empty()) break;
-    growSparsePattern(pat_, pending_);
+    stats_.sparsePatternInserts += core_.grow(pending_);
   }
-  const double tFactor = timed ? nowNs() : 0.0;
-  if (!lu_.analyzedFor(pat_.epoch())) lu_.analyze(pat_);
-  switch (lu_.factor(vals_)) {
+  const double tFactor = timed ? MnaCore::nowNs() : 0.0;
+  SparseLU<double>& lu = core_.lu();
+  switch (lu.factor(vals_)) {
     case SparseLU<double>::FactorOutcome::kSingular:
-      lastSingularUnknown_ = lu_.lastSingularColumn() >= 0
-                                 ? lu_.lastSingularColumn() + 1
+      lastSingularUnknown_ = lu.lastSingularColumn() >= 0
+                                 ? lu.lastSingularColumn() + 1
                                  : 0;
       return false;
     case SparseLU<double>::FactorOutcome::kFullFactor:
@@ -218,8 +122,8 @@ bool Analyzer::sparseIterate(const Solution& x, const LoadContext& ctx,
       ++stats_.sparseRefactors;
       break;
   }
-  const double tSolve = timed ? nowNs() : 0.0;
-  lu_.solve(rhs_, xNew);
+  const double tSolve = timed ? MnaCore::nowNs() : 0.0;
+  lu.solve(rhs_, xNew);
   if (timed) {
     static const obs::Histogram hAssemble =
         obs::histogram("spice.sparse.assemble_ns");
@@ -229,7 +133,7 @@ bool Analyzer::sparseIterate(const Solution& x, const LoadContext& ctx,
         obs::histogram("spice.sparse.solve_ns");
     static const obs::Histogram hDevice =
         obs::histogram("spice.newton.device_eval_ns");
-    const double tEnd = nowNs();
+    const double tEnd = MnaCore::nowNs();
     hAssemble.observe(tFactor - tAssemble);
     hFactor.observe(tSolve - tFactor);
     hSolve.observe(tEnd - tSolve);
@@ -241,7 +145,7 @@ bool Analyzer::sparseIterate(const Solution& x, const LoadContext& ctx,
 void Analyzer::beginCall() {
   // Device values may have changed since the last call (e.g.
   // Resistor::setResistance), so the linear baseline is rebuilt.
-  staticValid_ = false;
+  core_.invalidateStatic();
   stats_ = AnalyzerStats{};
   published_ = AnalyzerStats{};
   lastSingularUnknown_ = 0;
@@ -265,7 +169,7 @@ void Analyzer::throwConvergence(const char* stage, double stageValue,
   if (!fx_) throw ConvergenceError(message);
   const DiagReport report =
       buildDiagReport(ckt_, *fx_, analysisLabel_, stage, stageValue, message,
-                      unknownCount_, lastSingularUnknown_);
+                      unknownCount(), lastSingularUnknown_);
   if (obs::metricsEnabled()) {
     static const obs::Counter cReports = obs::counter("diag.reports");
     cReports.add(1);
@@ -328,7 +232,7 @@ Analyzer::NewtonOutcome Analyzer::newton(std::vector<double>& x,
     return newtonInner(x, ctx);
   obs::ScopedSpan span("spice.newton", "spice");
   const bool timed = obs::metricsEnabled();
-  const double tStart = timed ? nowNs() : 0.0;
+  const double tStart = timed ? MnaCore::nowNs() : 0.0;
   const NewtonOutcome out = newtonInner(x, ctx);
   span.note("iters", out.iterations);
   span.note("converged", out.converged ? 1.0 : 0.0);
@@ -340,7 +244,7 @@ Analyzer::NewtonOutcome Analyzer::newton(std::vector<double>& x,
     // device_eval_ns histogram a *share* (ahfic_client watch, /debug).
     static const obs::Histogram hWall =
         obs::histogram("spice.newton.wall_ns");
-    hWall.observe(nowNs() - tStart);
+    hWall.observe(MnaCore::nowNs() - tStart);
   }
   return out;
 }
@@ -348,11 +252,10 @@ Analyzer::NewtonOutcome Analyzer::newton(std::vector<double>& x,
 Analyzer::NewtonOutcome Analyzer::newtonInner(std::vector<double>& x,
                                               LoadContext& ctx) {
   NewtonOutcome out;
-  const int n = unknownCount_;
   // The solve overwrites every entry of xNew, so the buffer is reused
   // across solves and swapped with x instead of copied.
   std::vector<double>& xNew = xNew_;
-  xNew.resize(static_cast<size_t>(n));
+  xNew.resize(static_cast<size_t>(unknownCount()));
 
   {
     Solution sx(&x);
@@ -384,53 +287,21 @@ Analyzer::NewtonOutcome Analyzer::newtonInner(std::vector<double>& x,
 
     // Convergence: every unknown moved less than its tolerance, and no
     // device had to limit its junction voltage this iteration. The
-    // forensics path keeps scanning after the first failure so the
-    // worst-offender attribution covers every unknown; the regular path
-    // keeps its early exit.
+    // forensics path scans every unknown so the worst-offender
+    // attribution covers them all; the regular path exits early.
     bool converged = !anyLimited;
     if (fx_ == nullptr) {
-      for (int i = 0; i < n; ++i) {
-        const double oldV = x[static_cast<size_t>(i)];
-        const double newV = xNew[static_cast<size_t>(i)];
-        const bool isVoltage = (i + 1) < ckt_.nodeCount();
-        const double tol =
-            (isVoltage ? opts_.vntol : opts_.abstol) +
-            opts_.reltol * std::max(std::fabs(oldV), std::fabs(newV));
-        if (std::fabs(newV - oldV) > tol) {
-          converged = false;
-          break;
-        }
-      }
+      converged = converged && core_.converged(opts_, x, xNew);
     } else {
-      double maxDelta = 0.0, worstRatio = 0.0;
-      int worstUnknown = 0;
-      for (int i = 0; i < n; ++i) {
-        const double oldV = x[static_cast<size_t>(i)];
-        const double newV = xNew[static_cast<size_t>(i)];
-        const bool isVoltage = (i + 1) < ckt_.nodeCount();
-        const double tol =
-            (isVoltage ? opts_.vntol : opts_.abstol) +
-            opts_.reltol * std::max(std::fabs(oldV), std::fabs(newV));
-        const double delta = std::fabs(newV - oldV);
-        if (delta > tol) converged = false;
-        if (delta > maxDelta) maxDelta = delta;
-        const double ratio = delta / tol;
-        if (ratio > worstRatio) {
-          worstRatio = ratio;
-          worstUnknown = i + 1;
-        }
-      }
-      fx_->recordIteration(maxDelta, worstRatio, worstUnknown, anyLimited,
-                           /*singular=*/false);
+      const MnaCore::ConvergenceScan scan =
+          core_.scanConvergence(opts_, x, xNew);
+      converged = converged && scan.converged;
+      fx_->recordIteration(scan.maxDelta, scan.worstRatio, scan.worstUnknown,
+                           anyLimited, /*singular=*/false);
     }
     x.swap(xNew);
-    if (converged && iter > 0) {
-      out.converged = true;
-      return out;
-    }
-    // Linear circuits converge in one iteration; detect by absence of
-    // nonlinear devices.
-    if (converged && iter == 0 && nonlinearDevs_.empty()) {
+    // Linear circuits (no nonlinear devices) converge in one iteration.
+    if (converged && (iter > 0 || core_.nonlinearDevices().empty())) {
       out.converged = true;
       return out;
     }
@@ -439,7 +310,7 @@ Analyzer::NewtonOutcome Analyzer::newtonInner(std::vector<double>& x,
 }
 
 std::vector<double> Analyzer::opWithContext(LoadContext& ctx) {
-  std::vector<double> x(static_cast<size_t>(unknownCount_), 0.0);
+  std::vector<double> x(static_cast<size_t>(unknownCount()), 0.0);
   // The last continuation stage that failed, for the diag report.
   const char* failStage = "newton";
   double failValue = opts_.gmin;
@@ -457,7 +328,7 @@ std::vector<double> Analyzer::opWithContext(LoadContext& ctx) {
 
   // 2. Gmin stepping: solve with a large junction shunt, then relax it.
   {
-    std::vector<double> xg(static_cast<size_t>(unknownCount_), 0.0);
+    std::vector<double> xg(static_cast<size_t>(unknownCount()), 0.0);
     bool ok = true;
     for (double g = 1e-2; g >= opts_.gmin * 0.99; g /= 10.0) {
       ctx.gmin = g;
@@ -486,7 +357,7 @@ std::vector<double> Analyzer::opWithContext(LoadContext& ctx) {
 
   // 3. Source stepping: ramp all independent sources from zero.
   {
-    std::vector<double> xs(static_cast<size_t>(unknownCount_), 0.0);
+    std::vector<double> xs(static_cast<size_t>(unknownCount()), 0.0);
     ctx.gmin = opts_.gmin;
     bool ok = true;
     for (double scale : {0.01, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0}) {
@@ -517,7 +388,7 @@ std::vector<double> Analyzer::op() {
   analysisLabel_ = "op";
   // Open with a pivoting factorization, as a fresh Analyzer does, so a
   // reused Analyzer's op() reproduces a fresh one bit for bit.
-  lu_.resetNumeric();
+  core_.lu().resetNumeric();
   LoadContext ctx;
   ctx.mode = AnalysisMode::kDcOp;
   ctx.c0 = 0.0;
@@ -566,7 +437,7 @@ DcSweepResult Analyzer::dcSweep(const std::string& sourceName, double start,
   ctx.prevDstate = &dstatePrev_;
 
   DcSweepResult result;
-  std::vector<double> x(static_cast<size_t>(unknownCount_), 0.0);
+  std::vector<double> x(static_cast<size_t>(unknownCount()), 0.0);
   bool first = true;
   const int nPoints =
       static_cast<int>(std::floor((stop - start) / step + 1.5));
@@ -618,7 +489,7 @@ void Analyzer::primeAcSparsePattern(const Solution& op) {
   std::vector<std::pair<int, int>> entries;
   AcPatternStamper ps(entries);
   for (const auto& dev : ckt_.devices()) dev->loadAc(ps, op, 1.0);
-  patAc_.build(unknownCount_, std::move(entries));
+  patAc_.build(unknownCount(), std::move(entries));
   patternAcPrimed_ = true;
 }
 
@@ -627,7 +498,7 @@ void Analyzer::acSparseFactor(const Solution& op, double omega,
   primeAcSparsePattern(op);
   for (;;) {
     valsAc_.assign(patAc_.nonzeros(), {0.0, 0.0});
-    rhsAc_.assign(static_cast<size_t>(unknownCount_), {0.0, 0.0});
+    rhsAc_.assign(static_cast<size_t>(unknownCount()), {0.0, 0.0});
     pendingAc_.clear();
     CsrAcStamper st(patAc_, valsAc_, rhsAc_, &pendingAc_);
     for (const auto& dev : ckt_.devices()) dev->loadAc(st, op, omega);
@@ -714,7 +585,7 @@ NoiseResult Analyzer::noise(const std::vector<double>& frequencies,
 
   // The per-frequency factorization reuses the cached pattern and
   // ordering.
-  const auto n = static_cast<size_t>(unknownCount_);
+  const auto n = static_cast<size_t>(unknownCount());
   std::vector<std::complex<double>> rhs(n), x(n);
   for (size_t k = 0; k < frequencies.size(); ++k) {
     ++stats_.matrixSolves;
@@ -792,7 +663,7 @@ TranResult Analyzer::transient(double tstop, double maxStep,
   const double hMin = maxStep * 1e-9;
   bool firstStep = true;
 
-  std::vector<double> dstate(static_cast<size_t>(stateCount_), 0.0);
+  std::vector<double> dstate(static_cast<size_t>(core_.stateCount()), 0.0);
 
   while (t < tstop - 1e-18) {
     h = std::min(h, tstop - t);
@@ -816,7 +687,7 @@ TranResult Analyzer::transient(double tstop, double maxStep,
         accepted = true;
         ++stats_.acceptedSteps;
         // Differentiate states under the accepted rule.
-        for (int i = 0; i < stateCount_; ++i) {
+        for (int i = 0; i < core_.stateCount(); ++i) {
           const auto si = static_cast<size_t>(i);
           dstate[si] = ctx.c0 * (state_[si] - statePrev_[si]) -
                        ctx.trapFactor * dstatePrev_[si];

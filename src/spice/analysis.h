@@ -11,7 +11,6 @@
 //   auto vout = tr.voltage(ckt.findNode("out"));
 
 #include <complex>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,6 +18,7 @@
 
 #include "spice/circuit.h"
 #include "spice/csr.h"
+#include "spice/mna.h"
 #include "spice/solution.h"
 #include "spice/sparse_lu.h"
 
@@ -136,16 +136,18 @@ struct AnalyzerStats {
   long sparseRefactors = 0;    ///< pattern-reusing refactorizations
 };
 
-/// Analysis driver bound to one Circuit. Building the unknown layout
-/// happens at construction; do not add/remove devices afterwards (create a
-/// fresh Analyzer instead).
+/// Analysis driver bound to one Circuit, running on one MnaCore (the
+/// unknown layout, primed pattern, real-path solver, static baseline
+/// and convergence test; spice/mna.h). The core is built at
+/// construction; do not add/remove devices afterwards (create a fresh
+/// Analyzer instead).
 class Analyzer {
  public:
   explicit Analyzer(Circuit& ckt, AnalysisOptions opts = {});
   ~Analyzer();  // out-of-line: ForensicsRecorder is incomplete here
 
   /// Total number of MNA unknowns (node voltages + branch currents).
-  int unknownCount() const { return unknownCount_; }
+  int unknownCount() const { return core_.unknownCount(); }
 
   /// DC operating point. Tries plain Newton, then gmin stepping, then
   /// source stepping. Throws ahfic::ConvergenceError when all fail.
@@ -195,7 +197,6 @@ class Analyzer {
     int iterations = 0;
   };
 
-  void buildLayout();
   /// Opens a top-level call: a fresh per-call counter window (see
   /// AnalyzerStats), cleared forensics buffers, and a static baseline
   /// that will be rebuilt from the devices' current values.
@@ -218,20 +219,10 @@ class Analyzer {
   [[noreturn]] void throwConvergence(const char* stage, double stageValue,
                                      const std::string& message);
 
-  // Structure-caching CSR core.
   /// Assemble + factor + solve for one Newton iteration; false on a
   /// singular system.
   bool sparseIterate(const Solution& x, const LoadContext& ctx,
                      std::vector<double>& xNew);
-  /// Rebuilds the cached static (linear-device) value baseline when the
-  /// pattern epoch or the integrator coefficient changed.
-  void prepareSparseStatic(const Solution& x, const LoadContext& ctx);
-  /// Structural discovery: runs every device through a PatternStamper
-  /// under DC and transient contexts and builds the real-path pattern.
-  void primeSparsePattern();
-  /// Folds `pending` positions into `pat` (counts pattern inserts).
-  void growSparsePattern(CsrPattern& pat,
-                         std::vector<std::pair<int, int>>& pending);
   void primeAcSparsePattern(const Solution& op);
   /// Assembles the complex system at `omega` and factors it; throws on
   /// singularity with `what` naming the analysis.
@@ -239,8 +230,7 @@ class Analyzer {
 
   Circuit& ckt_;
   AnalysisOptions opts_;
-  int unknownCount_ = 0;
-  int stateCount_ = 0;
+  MnaCore core_;
   AnalyzerStats stats_;
   /// Watermark of stats_ already pushed to the metrics registry, so
   /// nested entry points (transient's internal op()) publish each slice
@@ -255,16 +245,10 @@ class Analyzer {
   /// (0 = none); resolved to a name by the report builder.
   int lastSingularUnknown_ = 0;
 
-  // Real path: pattern + slot-ordered values and RHS, the cached static
-  // baseline stamped by linear devices, and the solver bound to the
-  // pattern's current epoch.
-  CsrPattern pat_;
-  SparseLU<double> lu_;
-  std::vector<double> vals_, rhs_, staticVals_, scratchRhs_;
+  // Real path: slot-ordered values and RHS of the core's pattern, and
+  // the positions a nonlinear device stamped outside it.
+  std::vector<double> vals_, rhs_;
   std::vector<std::pair<int, int>> pending_;
-  bool staticValid_ = false;
-  std::uint64_t staticEpoch_ = 0;
-  double staticC0_ = 0.0;
 
   // Complex path (AC/noise sweeps).
   CsrPattern patAc_;
@@ -272,12 +256,6 @@ class Analyzer {
   std::vector<std::complex<double>> valsAc_, rhsAc_;
   std::vector<std::pair<int, int>> pendingAc_;
   bool patternAcPrimed_ = false;
-
-  // Device partition for the static/dynamic stamp split: linear devices
-  // have candidate-independent matrix stamps (static baseline), and the
-  // ones among them with RHS or state work (rhsDevs_) get an RHS-only
-  // pass per iteration; nonlinear devices restamp in full.
-  std::vector<Device*> linearDevs_, rhsDevs_, nonlinearDevs_;
 
   // Charge/flux states.
   std::vector<double> state_, statePrev_, dstatePrev_;

@@ -1,30 +1,25 @@
 #include "spice/batch.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <string>
 
 #include "obs/metrics.h"
 #include "spice/bjt.h"
 #include "spice/diode.h"
 #include "spice/gummel.h"
-#include "spice/junction.h"
 #include "spice/stamp.h"
 #include "util/error.h"
 
+namespace ahfic::spice {
+
 namespace {
 
-double nowNs() {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+Error topologyMismatch(size_t r, const std::string& what) {
+  return Error("ReplicaBatch: replica " + std::to_string(r) +
+               " topology differs from replica 0 (" + what + ")");
 }
 
 }  // namespace
-
-namespace ahfic::spice {
 
 // One Gummel-Poon transistor position shared by every replica: its node
 // ids, replica 0's recorded DC stamp plan (valid for the shared pattern)
@@ -55,59 +50,6 @@ struct ReplicaBatch::DiodeTable {
 
 ReplicaBatch::~ReplicaBatch() = default;
 
-void ReplicaBatch::buildLayoutFor(Circuit& ckt, std::vector<Device*>& linear,
-                                  std::vector<Device*>& rhs,
-                                  std::vector<Device*>& nonlinear,
-                                  int& unknowns, int& states) const {
-  // Mirrors Analyzer::buildLayout exactly: branch/state bases assigned in
-  // device order, ground excluded from the unknown count.
-  int nextBranch = ckt.nodeCount();
-  int nextState = 0;
-  for (const auto& dev : ckt.devices()) {
-    if (dev->branchCount() > 0) {
-      dev->assignBranchBase(nextBranch);
-      nextBranch += dev->branchCount();
-    }
-    if (dev->stateCount() > 0) {
-      dev->assignStateBase(nextState);
-      nextState += dev->stateCount();
-    }
-    if (dev->isNonlinear()) {
-      nonlinear.push_back(dev.get());
-    } else {
-      linear.push_back(dev.get());
-      if (!dev->matrixOnly()) rhs.push_back(dev.get());
-    }
-  }
-  unknowns = nextBranch - 1;
-  states = nextState;
-}
-
-void ReplicaBatch::primePatternFor(Circuit& ckt, CsrPattern& pat,
-                                   int unknowns, int states) const {
-  // Mirrors Analyzer::primeSparsePattern: every device recorded under a
-  // DC and a transient context, so the pattern (and hence the symbolic
-  // analysis and its pivot choices) is identical to the scalar path's.
-  std::vector<std::pair<int, int>> entries;
-  PatternStamper ps(entries);
-  std::vector<double> zeros(static_cast<size_t>(unknowns), 0.0);
-  Solution sx(&zeros);
-  std::vector<double> st(static_cast<size_t>(states), 0.0);
-  std::vector<double> stPrev(static_cast<size_t>(states), 0.0);
-  std::vector<double> dstPrev(static_cast<size_t>(states), 0.0);
-  LoadContext ctx;
-  ctx.state = &st;
-  ctx.prevState = &stPrev;
-  ctx.prevDstate = &dstPrev;
-  ctx.mode = AnalysisMode::kDcOp;
-  ctx.c0 = 0.0;
-  for (const auto& dev : ckt.devices()) dev->load(ps, sx, ctx);
-  ctx.mode = AnalysisMode::kTransient;
-  ctx.c0 = 1.0;
-  for (const auto& dev : ckt.devices()) dev->load(ps, sx, ctx);
-  pat.build(unknowns, std::move(entries));
-}
-
 ReplicaBatch::ReplicaBatch(std::vector<std::unique_ptr<Circuit>> replicas,
                            Options opts)
     : opts_(opts), circuits_(std::move(replicas)) {
@@ -116,70 +58,57 @@ ReplicaBatch::ReplicaBatch(std::vector<std::unique_ptr<Circuit>> replicas,
     throw Error("ReplicaBatch: convergence forensics is not supported");
 
   const size_t R = circuits_.size();
-  linearDevs_.resize(R);
-  rhsDevs_.resize(R);
-  nonlinearDevs_.resize(R);
+  cores_.reserve(R);
   for (size_t r = 0; r < R; ++r) {
-    int unknowns = 0, states = 0;
-    buildLayoutFor(*circuits_[r], linearDevs_[r], rhsDevs_[r],
-                   nonlinearDevs_[r], unknowns, states);
-    if (r == 0) {
-      unknownCount_ = unknowns;
-      stateCount_ = states;
-    } else if (unknowns != unknownCount_ || states != stateCount_ ||
-               linearDevs_[r].size() != linearDevs_[0].size() ||
-               nonlinearDevs_[r].size() != nonlinearDevs_[0].size()) {
-      throw Error("ReplicaBatch: replica " + std::to_string(r) +
-                  " topology differs from replica 0 (layout)");
-    }
+    cores_.emplace_back(*circuits_[r]);
+    if (!cores_[r].sameLayout(cores_[0])) throw topologyMismatch(r, "layout");
   }
 
-  // Shared pattern from replica 0; every other replica's primed pattern
-  // must match it structurally — this is the topology-epoch check.
-  primePatternFor(*circuits_[0], pat_, unknownCount_, stateCount_);
-  for (size_t r = 1; r < R; ++r) {
-    CsrPattern other;
-    primePatternFor(*circuits_[r], other, unknownCount_, stateCount_);
-    if (other.rowPtr() != pat_.rowPtr() || other.colIdx() != pat_.colIdx())
-      throw Error("ReplicaBatch: replica " + std::to_string(r) +
-                  " topology differs from replica 0 (sparsity pattern)");
-  }
-
-  // One symbolic analysis, shared; numeric state stays per replica.
-  lu_.reserve(R);
-  for (size_t r = 0; r < R; ++r)
-    lu_.push_back(std::make_unique<SparseLU<double>>());
-  lu_[0]->analyze(pat_);
-  for (size_t r = 1; r < R; ++r) lu_[r]->adoptAnalysis(*lu_[0]);
-
-  buildTables();
-  computeStaticBaselines();
-
-  x_.assign(R, std::vector<double>(static_cast<size_t>(unknownCount_), 0.0));
+  const auto n = static_cast<size_t>(unknownCount());
+  x_.assign(R, std::vector<double>(n, 0.0));
   xNew_ = x_;
-  vals_.assign(pat_.nonzeros(), 0.0);
-  rhs_.assign(static_cast<size_t>(unknownCount_), 0.0);
-  stateScratch_.assign(static_cast<size_t>(stateCount_), 0.0);
+  rhs_.assign(n, 0.0);
+  stateScratch_.assign(static_cast<size_t>(cores_[0].stateCount()), 0.0);
   statePrevZero_ = stateScratch_;
   dstatePrevZero_ = stateScratch_;
+
+  // Linear-device matrix stamps are candidate- and source-value-
+  // independent in DC, so one baseline per replica at x = 0 serves every
+  // Newton iteration of every op().
+  const Solution zero(&x_[0]);
+  LoadContext ctx;
+  ctx.mode = AnalysisMode::kDcOp;
+  ctx.c0 = 0.0;
+  ctx.gmin = opts_.analysis.gmin;
+  ctx.state = &stateScratch_;
+  ctx.prevState = &statePrevZero_;
+  ctx.prevDstate = &dstatePrevZero_;
+  for (MnaCore& core : cores_)
+    stats_.patternInserts += core.prepareStatic(zero, ctx);
+
+  // One symbolic analysis, shared; numeric state stays per replica.
+  for (size_t r = 1; r < R; ++r) {
+    if (!cores_[r].samePattern(cores_[0]))
+      throw topologyMismatch(r, "sparsity pattern");
+    cores_[r].adoptAnalysis(cores_[0]);
+  }
+
+  buildTables(zero, ctx);
 }
 
-void ReplicaBatch::buildTables() {
+void ReplicaBatch::buildTables(const Solution& x, const LoadContext& ctx) {
   const size_t R = circuits_.size();
-  for (size_t j = 0; j < nonlinearDevs_[0].size(); ++j) {
-    Device* d0 = nonlinearDevs_[0][j];
-    const auto mismatch = [&](size_t r) {
-      return Error("ReplicaBatch: replica " + std::to_string(r) +
-                   " topology differs from replica 0 (device " + d0->name() +
-                   ")");
-    };
+  const std::vector<Device*>& devs0 = cores_[0].nonlinearDevices();
+  for (size_t j = 0; j < devs0.size(); ++j) {
+    Device* d0 = devs0[j];
     if (auto* q0 = dynamic_cast<Bjt*>(d0)) {
       BjtTable t;
       t.nodes = q0->stampNodes();
       t.rep.resize(R);
       for (size_t r = 0; r < R; ++r) {
-        auto* q = dynamic_cast<Bjt*>(nonlinearDevs_[r][j]);
-        if (q == nullptr || q->stampNodes() != t.nodes) throw mismatch(r);
+        auto* q = dynamic_cast<Bjt*>(cores_[r].nonlinearDevices()[j]);
+        if (q == nullptr || q->stampNodes() != t.nodes)
+          throw topologyMismatch(r, "device " + d0->name());
         t.rep[r] = {q->params(),        q->polarity(),      q->vcritE(),
                     q->vcritC(),        q->rcConductance(), q->reConductance(),
                     0.0,                0.0,                {}};
@@ -193,10 +122,10 @@ void ReplicaBatch::buildTables() {
       t.aInt = dd0->internalAnode();
       t.rep.resize(R);
       for (size_t r = 0; r < R; ++r) {
-        auto* d = dynamic_cast<Diode*>(nonlinearDevs_[r][j]);
+        auto* d = dynamic_cast<Diode*>(cores_[r].nonlinearDevices()[j]);
         if (d == nullptr || d->nodes() != dd0->nodes() ||
             d->internalAnode() != t.aInt)
-          throw mismatch(r);
+          throw topologyMismatch(r, "device " + d0->name());
         t.rep[r] = {d->saturationCurrent(), d->vte(), d->vcrit(),
                     d->rsConductance(), 0.0, {}};
       }
@@ -207,49 +136,16 @@ void ReplicaBatch::buildTables() {
                   d0->name() + "' (only Bjt and Diode are batched)");
     }
   }
-}
-
-void ReplicaBatch::computeStaticBaselines() {
-  // Mirrors Analyzer::prepareSparseStatic: linear-device matrix stamps
-  // are candidate- and source-value-independent in DC, so one pass at
-  // x = 0 per replica yields the baseline every Newton iteration
-  // memcpy-restores. A pending (pattern-miss) position here would mean
-  // the priming pass failed — that is a bug, not a growth event, because
-  // the pattern is shared.
-  const size_t R = circuits_.size();
-  staticVals_.resize(R);
-  std::vector<double> zeros(static_cast<size_t>(unknownCount_), 0.0);
-  Solution sx(&zeros);
-  std::vector<double> st(static_cast<size_t>(stateCount_), 0.0);
-  std::vector<double> stPrev(static_cast<size_t>(stateCount_), 0.0);
-  std::vector<double> dstPrev(static_cast<size_t>(stateCount_), 0.0);
-  std::vector<double> scratchRhs(static_cast<size_t>(unknownCount_), 0.0);
-  std::vector<std::pair<int, int>> pending;
-  LoadContext ctx;
-  ctx.mode = AnalysisMode::kDcOp;
-  ctx.c0 = 0.0;
-  ctx.gmin = opts_.analysis.gmin;
-  ctx.state = &st;
-  ctx.prevState = &stPrev;
-  ctx.prevDstate = &dstPrev;
-  for (size_t r = 0; r < R; ++r) {
-    staticVals_[r].assign(pat_.nonzeros(), 0.0);
-    scratchRhs.assign(static_cast<size_t>(unknownCount_), 0.0);
-    pending.clear();
-    CsrStamper cs(pat_, staticVals_[r], scratchRhs, &pending);
-    for (Device* dev : linearDevs_[r]) dev->load(cs, sx, ctx);
-    if (!pending.empty())
-      throw Error("ReplicaBatch: linear device stamped outside the primed "
-                  "pattern (replica " +
-                  std::to_string(r) + ")");
-  }
 
   // One DC load of replica 0's nonlinear devices records their DC stamp
-  // plans on the shared pattern; phase 2 replays them for every replica
-  // (all share replica 0's topology).
-  std::vector<double> scratchVals(pat_.nonzeros(), 0.0);
-  CsrStamper cs(pat_, scratchVals, scratchRhs, &pending);
-  for (Device* dev : nonlinearDevs_[0]) dev->load(cs, sx, ctx);
+  // plans on replica 0's pattern; phase 2 replays them for every replica,
+  // whose patterns all equal it. A position outside the pattern here
+  // means priming missed a stamp the shared analysis never saw.
+  std::vector<double> scratchVals(cores_[0].pattern().nonzeros(), 0.0);
+  std::vector<double> scratchRhs(static_cast<size_t>(unknownCount()), 0.0);
+  std::vector<std::pair<int, int>> pending;
+  CsrStamper cs(cores_[0].pattern(), scratchVals, scratchRhs, &pending);
+  for (Device* dev : devs0) dev->load(cs, x, ctx);
   if (!pending.empty())
     throw Error("ReplicaBatch: nonlinear device stamped outside the primed "
                 "pattern");
@@ -257,23 +153,14 @@ void ReplicaBatch::computeStaticBaselines() {
     const auto [kind, idx] = nonlinearOrder_[j];
     const auto i = static_cast<size_t>(idx);
     (kind == 0 ? bjts_[i].plan : diodes_[i].plan) =
-        nonlinearDevs_[0][j]->stampPlan(Device::StampVariant::kDc);
+        devs0[j]->stampPlan(Device::StampVariant::kDc);
   }
 }
 
-namespace {
-
-inline double solutionAt(const double* x, int id) {
-  return id <= 0 ? 0.0 : x[id - 1];
-}
-
-}  // namespace
-
 ReplicaBatch::OpResult ReplicaBatch::op() {
   const size_t R = circuits_.size();
-  const int n = unknownCount_;
   const AnalysisOptions& ao = opts_.analysis;
-  const double t0 = obs::metricsEnabled() ? nowNs() : 0.0;
+  const double t0 = obs::metricsEnabled() ? MnaCore::nowNs() : 0.0;
   ++stats_.ops;
 
   OpResult out;
@@ -287,8 +174,7 @@ ReplicaBatch::OpResult ReplicaBatch::op() {
   // limiting histories seeded from x = 0 (all junction voltages 0).
   for (size_t r = 0; r < R; ++r) {
     std::fill(x_[r].begin(), x_[r].end(), 0.0);
-    std::fill(xNew_[r].begin(), xNew_[r].end(), 0.0);
-    lu_[r]->resetNumeric();
+    cores_[r].lu().resetNumeric();
     Solution sx(&x_[r]);
     for (const auto& dev : circuits_[r]->devices()) dev->beginSolve(sx);
   }
@@ -307,29 +193,26 @@ ReplicaBatch::OpResult ReplicaBatch::op() {
   ctx.prevDstate = &dstatePrevZero_;
 
   std::vector<char> limited(R, 0);
-  const int nodeCount = circuits_[0]->nodeCount();
   bool anyActive = true;
 
   for (int iter = 0; iter < ao.maxNewtonIters && anyActive; ++iter) {
     // --- Phase 1: evaluate every nonlinear device across all active
-    // replicas: the scalar devices' limiting, then the shared
-    // spice/gummel.h evaluation and linearization, so each replica's
+    // replicas through the spice/gummel.h limiting, evaluation and
+    // linearization the scalar devices call, so each replica's
     // arithmetic is the exact scalar sequence.
     std::fill(limited.begin(), limited.end(), 0);
     for (auto& t : bjts_) {
       for (size_t r = 0; r < R; ++r) {
         if (!active[r]) continue;
         BjtTable::Replica& q = t.rep[r];
-        const double* xr = x_[r].data();
-        const double vbeCand =
-            q.pol * (solutionAt(xr, t.nodes.bi) - solutionAt(xr, t.nodes.ei));
-        const double vbcCand =
-            q.pol * (solutionAt(xr, t.nodes.bi) - solutionAt(xr, t.nodes.ci));
-        const double vbe = pnjlim(vbeCand, q.vbeLim, q.gp.nfvt, q.vcritE);
-        const double vbc = pnjlim(vbcCand, q.vbcLim, q.gp.nrvt, q.vcritC);
+        const Solution sx(&x_[r]);
+        const double vbeCand = q.pol * sx.diff(t.nodes.bi, t.nodes.ei);
+        const double vbcCand = q.pol * sx.diff(t.nodes.bi, t.nodes.ci);
+        const double vbe =
+            limitJunction(vbeCand, q.vbeLim, q.gp.nfvt, q.vcritE);
+        const double vbc =
+            limitJunction(vbcCand, q.vbcLim, q.gp.nrvt, q.vcritC);
         if (vbe != vbeCand || vbc != vbcCand) limited[r] = 1;
-        q.vbeLim = vbe;
-        q.vbcLim = vbc;
         const GummelPoonEval ev = gummelEvaluate(q.gp, vbe, vbc, ao.gmin);
         q.out = gummelLinearize(q.gp, ev, q.pol, vbe, vbc, ao.gmin);
       }
@@ -338,30 +221,29 @@ ReplicaBatch::OpResult ReplicaBatch::op() {
       for (size_t r = 0; r < R; ++r) {
         if (!active[r]) continue;
         DiodeTable::Replica& d = t.rep[r];
-        const double* xr = x_[r].data();
-        const double vCand = solutionAt(xr, t.aInt) - solutionAt(xr, t.c);
-        const double v = pnjlim(vCand, d.vLim, d.vte, d.vcrit);
+        const double vCand = Solution(&x_[r]).diff(t.aInt, t.c);
+        const double v = limitJunction(vCand, d.vLim, d.vte, d.vcrit);
         if (v != vCand) limited[r] = 1;
-        d.vLim = v;
         d.out = diodeLinearize(junctionIV(v, d.isArea, d.vte), v, ao.gmin);
       }
     }
 
-    // --- Phase 2: per-replica assemble (baseline memcpy + linear RHS +
-    // the devices' own stamp functions over replica 0's DC plans),
-    // refactor replay, solve, convergence.
+    // --- Phase 2: per-replica assemble (the core's baseline + linear
+    // RHS + the devices' own stamp functions over replica 0's DC plans),
+    // refactor replay, solve, the core's convergence test.
     anyActive = false;
     for (size_t r = 0; r < R; ++r) {
       if (!active[r]) continue;
+      MnaCore& core = cores_[r];
       ++stats_.newtonIterations;
       out.iterations[r] = iter + 1;
       ++stats_.matrixSolves;
 
-      vals_ = staticVals_[r];
+      vals_ = core.staticValues();
       std::fill(rhs_.begin(), rhs_.end(), 0.0);
       RhsOnlyStamper rhsOnly(rhs_);
       Solution sx(&x_[r]);
-      for (Device* dev : rhsDevs_[r]) dev->load(rhsOnly, sx, ctx);
+      for (Device* dev : core.rhsDevices()) dev->load(rhsOnly, sx, ctx);
 
       for (const auto& [kind, idx] : nonlinearOrder_) {
         if (kind == 0) {
@@ -377,9 +259,9 @@ ReplicaBatch::OpResult ReplicaBatch::op() {
         }
       }
 
-      if (opts_.forceFullFactor) lu_[r]->resetNumeric();
-      const bool hadReplay = lu_[r]->hasRecordedFactorization();
-      switch (lu_[r]->factor(vals_)) {
+      SparseLU<double>& lu = core.lu();
+      const bool hadReplay = lu.hasRecordedFactorization();
+      switch (lu.factor(vals_)) {
         case SparseLU<double>::FactorOutcome::kSingular:
           active[r] = 0;
           needFallback[r] = 1;
@@ -392,27 +274,11 @@ ReplicaBatch::OpResult ReplicaBatch::op() {
           ++stats_.refactors;
           break;
       }
-      lu_[r]->solve(rhs_, xNew_[r]);
+      lu.solve(rhs_, xNew_[r]);
 
-      // Convergence: mirrors Analyzer::newtonInner (non-forensics path).
-      bool converged = !limited[r];
-      if (converged) {
-        for (int i = 0; i < n; ++i) {
-          const double oldV = x_[r][static_cast<size_t>(i)];
-          const double newV = xNew_[r][static_cast<size_t>(i)];
-          const bool isVoltage = (i + 1) < nodeCount;
-          const double tol =
-              (isVoltage ? ao.vntol : ao.abstol) +
-              ao.reltol * std::max(std::fabs(oldV), std::fabs(newV));
-          if (std::fabs(newV - oldV) > tol) {
-            converged = false;
-            break;
-          }
-        }
-      }
+      const bool converged = !limited[r] && core.converged(ao, x_[r], xNew_[r]);
       x_[r] = xNew_[r];
-      if ((converged && iter > 0) ||
-          (converged && iter == 0 && nonlinearOrder_.empty())) {
+      if (converged && (iter > 0 || nonlinearOrder_.empty())) {
         active[r] = 0;
         continue;
       }
@@ -436,7 +302,7 @@ ReplicaBatch::OpResult ReplicaBatch::op() {
   out.x = x_;
   if (obs::metricsEnabled()) {
     static const obs::Histogram hOp = obs::histogram("spice.batch.solve_ns");
-    hOp.observe(nowNs() - t0);
+    hOp.observe(MnaCore::nowNs() - t0);
   }
   publishStats();
   return out;

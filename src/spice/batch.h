@@ -2,56 +2,43 @@
 // ReplicaBatch: batched DC operating points across a block of
 // Monte-Carlo replica circuits sharing one topology.
 //
-// A Monte-Carlo fT sweep solves the same two-transistor bias circuit
-// hundreds of times with perturbed model cards. The scalar path pays for
-// every solve what only the first deserves: Circuit construction,
-// unknown layout, CSR pattern priming, symbolic sparse analysis, slot
-// lookups through device memos and per-device virtual dispatch.
-// ReplicaBatch performs the structure work ONCE for the whole block and
-// keeps only the numbers per replica:
+// A Monte-Carlo fT sweep solves the same bias circuit hundreds of times
+// with perturbed model cards. ReplicaBatch runs every replica on its own
+// MnaCore (spice/mna.h), the core a scalar Analyzer runs on, and shares
+// what the topology fixes:
 //
-//   - one CsrPattern, primed exactly like Analyzer::primeSparsePattern
-//     and structurally validated against every replica (a replica whose
-//     primed pattern differs is a topology-epoch mismatch and is
-//     rejected at construction);
-//   - one symbolic analysis, shared into every replica's SparseLU via
-//     adoptAnalysis(); numeric factorizations stay per replica, with
-//     the existing pivot/fill replay (full factor on the first
-//     iteration of each op, refactor replay after — the same sequence a
-//     fresh Analyzer produces, so results are bit-identical);
-//   - per-replica parameter tables for the nonlinear devices (Gummel-Poon
-//     BJT and junction diode). Phase 1 of each Newton iteration runs
-//     every active replica through the same spice/gummel.h limiting
-//     inputs and linearization (gummelLinearize, diodeLinearize) as the
-//     scalar devices; phase 2 writes the resulting scalars with the
-//     devices' own stamp functions (stampGummelPoon, stampDiode),
-//     replaying replica 0's recorded DC stamp plan for every replica.
-//     The batch holds no stamp sequence of its own.
+//   - each replica's core must have replica 0's layout and primed
+//     pattern, or construction throws;
+//   - every replica's solver adopts replica 0's symbolic analysis;
+//     numeric factors stay per replica, with a full factor on the first
+//     iteration of each op and pivot/fill replay after (a fresh
+//     Analyzer's cadence);
+//   - the nonlinear devices (Gummel-Poon BJT, junction diode) are tabled
+//     per replica. Phase 1 of each Newton iteration runs every active
+//     replica through the spice/gummel.h limiting and linearization the
+//     scalar devices call; phase 2 writes the results with the devices'
+//     own stamp functions, replaying replica 0's recorded DC stamp plans.
 //
-// Newton runs in masked lockstep: each iteration evaluates all active
-// replicas (phase 1) and then assembles/factors/solves each one
-// (phase 2), with per-replica convergence decisions that mirror
-// Analyzer::newtonInner exactly. A replica whose factorization goes
-// singular or that exhausts maxNewtonIters falls back to a full
-// Analyzer::op() on its own circuit (plain Newton, then gmin stepping,
-// then source stepping) — again the exact scalar path.
+// Newton runs in masked lockstep: phase 1 for all active replicas, then
+// per replica the core's static baseline, the stamps, factor, solve and
+// the core's convergence test. A replica that goes singular or exhausts
+// maxNewtonIters falls back to a full Analyzer::op() on its circuit
+// (plain Newton, then gmin stepping, then source stepping).
 //
 // Bit-identity contract: for identical circuits and options, every
-// solution ReplicaBatch::op() returns is bit-identical to what a fresh
-// `Analyzer(ckt, opts)` returns from op() on that replica's circuit. The equivalence suite
-// (tests/spice_batch_test.cpp) enforces this with hex-float compares.
+// solution op() returns is bit-identical to what a fresh
+// `Analyzer(ckt, opts)` returns from op() on that replica's circuit
+// (hex-float compares in tests/spice_batch_test.cpp).
 //
 // Limits (checked at construction): nonlinear devices must be Bjt or
-// Diode; every replica must share the topology of replica 0;
-// AnalysisOptions::forensics is not supported.
+// Diode; AnalysisOptions::forensics is not supported.
 
 #include <memory>
 #include <vector>
 
 #include "spice/analysis.h"
 #include "spice/circuit.h"
-#include "spice/csr.h"
-#include "spice/sparse_lu.h"
+#include "spice/mna.h"
 
 namespace ahfic::spice {
 
@@ -66,7 +53,7 @@ struct BatchStats {
   long refactors = 0;         ///< pivot/fill replays
   long pivotCollapses = 0;    ///< replays that collapsed to full factor
   long fallbacks = 0;         ///< replicas re-solved via Analyzer::op()
-  long patternInserts = 0;    ///< always 0 unless priming missed a stamp
+  long patternInserts = 0;    ///< 0 unless priming missed a stamp
 };
 
 /// Batched DC operating-point engine over replica circuits. Takes
@@ -76,11 +63,6 @@ class ReplicaBatch {
  public:
   struct Options {
     AnalysisOptions analysis;  ///< tolerances and iteration limits
-    /// Ablation knob: discard the recorded pivot/fill sequence before
-    /// every factorization so each Newton iteration pays a full
-    /// pivoting factor. Timing-only — pivots may differ from the
-    /// replayed sequence, so no bit-identity claim is made with this on.
-    bool forceFullFactor = false;
   };
 
   ReplicaBatch(std::vector<std::unique_ptr<Circuit>> replicas, Options opts);
@@ -89,7 +71,7 @@ class ReplicaBatch {
   ~ReplicaBatch();
 
   int replicaCount() const { return static_cast<int>(circuits_.size()); }
-  int unknownCount() const { return unknownCount_; }
+  int unknownCount() const { return cores_[0].unknownCount(); }
   Circuit& circuit(int r) { return *circuits_[static_cast<size_t>(r)]; }
   const Circuit& circuit(int r) const {
     return *circuits_[static_cast<size_t>(r)];
@@ -114,30 +96,14 @@ class ReplicaBatch {
   struct BjtTable;
   struct DiodeTable;
 
-  void buildLayoutFor(Circuit& ckt, std::vector<Device*>& linear,
-                      std::vector<Device*>& rhs,
-                      std::vector<Device*>& nonlinear, int& unknowns,
-                      int& states) const;
-  void primePatternFor(Circuit& ckt, CsrPattern& pat, int unknowns,
-                       int states) const;
-  void buildTables();
-  /// Stamps every replica's linear devices into its static baseline and
-  /// records replica 0's nonlinear DC stamp plans on the shared pattern.
-  void computeStaticBaselines();
+  /// Tables the nonlinear devices and records replica 0's DC stamp
+  /// plans on its pattern (the one every replica's pattern equals).
+  void buildTables(const Solution& x, const LoadContext& ctx);
   void publishStats();
 
   Options opts_;
   std::vector<std::unique_ptr<Circuit>> circuits_;
-  int unknownCount_ = 0;
-  int stateCount_ = 0;
-
-  // Shared structure.
-  CsrPattern pat_;
-  std::vector<std::unique_ptr<SparseLU<double>>> lu_;  // one per replica
-  std::vector<std::vector<double>> staticVals_;        // [replica][slot]
-  std::vector<std::vector<Device*>> linearDevs_;       // [replica][device]
-  std::vector<std::vector<Device*>> rhsDevs_;  // linear, not matrix-only
-  std::vector<std::vector<Device*>> nonlinearDevs_;
+  std::vector<MnaCore> cores_;  ///< one per replica
 
   // Nonlinear device tables (per-replica parameters, limiting history,
   // phase-1 stamp scalars, replica 0's DC stamp plan).

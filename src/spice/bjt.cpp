@@ -55,12 +55,10 @@ void Bjt::load(Stamper& s, const Solution& x, const LoadContext& ctx) {
   // Junction voltages in model (NPN) polarity, with SPICE limiting.
   const double vbeCand = pol_ * x.diff(n_.bi, n_.ei);
   const double vbcCand = pol_ * x.diff(n_.bi, n_.ci);
-  const double vbe = pnjlim(vbeCand, vbeLimited_, gp_.nfvt, vcritE_);
-  const double vbc = pnjlim(vbcCand, vbcLimited_, gp_.nrvt, vcritC_);
+  const double vbe = limitJunction(vbeCand, vbeLimited_, gp_.nfvt, vcritE_);
+  const double vbc = limitJunction(vbcCand, vbcLimited_, gp_.nrvt, vcritC_);
   ctx.noteLimited(vbe, vbeCand, this);
   ctx.noteLimited(vbc, vbcCand, this);
-  vbeLimited_ = vbe;
-  vbcLimited_ = vbc;
 
   const GummelPoonEval ev = evaluate(vbe, vbc, ctx.gmin);
   const GummelPoonStamp lin =

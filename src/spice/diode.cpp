@@ -46,9 +46,8 @@ void Diode::load(Stamper& s, const Solution& x, const LoadContext& ctx) {
 
   // SPICE-style limiting: evaluate at a damped junction voltage.
   const double vCand = x.diff(aInt_, c);
-  const double v = pnjlim(vCand, vLimited_, vte_, vcrit_);
+  const double v = limitJunction(vCand, vLimited_, vte_, vcrit_);
   ctx.noteLimited(v, vCand, this);
-  vLimited_ = v;
 
   const JunctionIV iv = junctionIV(v, isArea_, vte_);
   const DiodeStamp lin = diodeLinearize(iv, v, ctx.gmin);

@@ -2,14 +2,15 @@
 // Shared Gummel-Poon / junction-diode large-signal math.
 //
 // The scalar Bjt/Diode devices (bjt.cpp, diode.cpp) and the batched
-// replica engine (batch.cpp) evaluate the SAME inline functions below, so
-// a batched Monte-Carlo replica is bit-identical to the scalar device it
-// mirrors — there is exactly one copy of the model equations, and one of
-// the linearization that turns them into stamp scalars
-// (gummelLinearize, diodeLinearize, chargeCompanion). The stamp sequences
-// that write those scalars live beside the devices (stampGummelPoon in
-// bjt.h, stampDiode in diode.h). Everything here is pure math on a model
-// card: no Circuit, no Stamper, no state.
+// replica engine (batch.cpp) call the same inline functions below, so
+// there is exactly one copy of the junction limiting (limitJunction),
+// of the model equations, and of the linearization that turns them into
+// stamp scalars (gummelLinearize, diodeLinearize, chargeCompanion). A
+// batched Monte-Carlo replica is therefore bit-identical to the scalar
+// device with the same card. The stamp sequences that write those
+// scalars live beside the devices (stampGummelPoon in bjt.h, stampDiode
+// in diode.h). Everything here is pure math on a model card: no
+// Circuit, no Stamper, no state.
 //
 // deriveGummelPoon()/deriveDiode() are the per-instance derivation of the
 // device constructors (area factor, RBM default, temperature adjustment,
@@ -23,6 +24,16 @@
 #include "util/units.h"
 
 namespace ahfic::spice {
+
+/// One junction's SPICE limiting step, with which every nonlinear load
+/// opens: pnjlim of the candidate voltage `vCand` against the last
+/// limited voltage `vLim`, which then advances to the result. `nvt` is
+/// the emission-scaled thermal voltage, `vcrit` the critical voltage.
+inline double limitJunction(double vCand, double& vLim, double nvt,
+                            double vcrit) {
+  vLim = pnjlim(vCand, vLim, nvt, vcrit);
+  return vLim;
+}
 
 /// Large-signal Gummel-Poon evaluation at given junction voltages.
 struct GummelPoonEval {

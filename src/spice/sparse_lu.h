@@ -80,15 +80,18 @@ class SparseLU {
   }
 
   /// Copies another solver's symbolic analysis (structure, column view
-  /// and fill-reducing order) without redoing the minimum-degree pass.
-  /// The ordering is a deterministic function of the pattern, so an
-  /// adopted analysis is bitwise identical to running analyze() on the
-  /// same pattern — this is how a replica batch shares one symbolic
+  /// and fill-reducing order) without redoing the minimum-degree pass,
+  /// and binds it to `pat`, which must have the other solver's
+  /// structure. The ordering is a deterministic function of the
+  /// structure, so an adopted analysis is bitwise identical to running
+  /// analyze(pat) — this is how a replica batch shares one symbolic
   /// analysis across many numerically distinct systems.
-  void adoptAnalysis(const SparseLU& other) {
+  void adoptAnalysis(const SparseLU& other, const CsrPattern& pat) {
     if (other.epoch_ == 0) throw Error("SparseLU::adoptAnalysis: unanalyzed");
+    if (pat.rowPtr() != other.rowPtr_ || pat.colIdx() != other.colIdx_)
+      throw Error("SparseLU::adoptAnalysis: pattern structure differs");
     n_ = other.n_;
-    epoch_ = other.epoch_;
+    epoch_ = pat.epoch();
     rowPtr_ = other.rowPtr_;
     colIdx_ = other.colIdx_;
     aColPtr_ = other.aColPtr_;
